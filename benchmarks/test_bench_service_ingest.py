@@ -11,7 +11,7 @@ driving pre-encoded frames from an executor thread — the same bytes the
 SDK would produce, minus SDK-side buffering, so the number measures
 daemon ingest, not client overhead.  The writer is *paced* 25 % above
 the floor rate: an unbounded flood measures peak burst absorption (the
-backpressure tests cover that); the dependability claim is that at the
+overload test covers that); the dependability claim is that at the
 contracted arrival rate every indication is applied on time and the
 check-cycle ticker stays on schedule.
 """
@@ -82,7 +82,7 @@ def _drive_loopback(host, port):
         if wait > 0:
             time.sleep(wait)
     # Barrier: frames dispatch in order per connection, so the HELLO
-    # ACK proves every heartbeat frame has been decoded and enqueued.
+    # ACK proves every heartbeat frame has been decoded and applied.
     sock.sendall(encode_frame(T_HELLO, client="bench"))
     while True:
         frames = [f for f in decoder.feed(sock.recv(65536))
@@ -95,14 +95,12 @@ def _drive_loopback(host, port):
 
 
 async def _ingest_run():
-    server = SupervisionServer(port=0, tick_interval=TICK_S,
-                               queue_limit=FRAMES * BATCH + 1)
+    server = SupervisionServer(port=0, tick_interval=TICK_S)
     await server.start()
     loop = asyncio.get_running_loop()
     begin = time.perf_counter()
     send_seconds = await loop.run_in_executor(
         None, _drive_loopback, server.host, server.port)
-    await server.drain()
     ingest_seconds = time.perf_counter() - begin
     applied = server.fleet.stats()["indications"]
     missed = server.missed_ticks

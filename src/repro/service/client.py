@@ -331,8 +331,9 @@ class WatchdogClient:
 
     def sync(self) -> bool:
         """Flush, then round-trip a HELLO so every indication sent so
-        far is guaranteed to have been dispatched by the daemon (frames
-        are handled in order per connection).  A write barrier for
+        far is guaranteed to have been applied by the daemon (frames
+        are handled in order per connection, and an indication is
+        applied when its frame is dispatched).  A write barrier for
         deterministic tests and graceful handover; False when the
         daemon stayed unreachable."""
         if not self.flush():

@@ -11,13 +11,19 @@ dependability service rather than a liability:
   the heartbeat stream, which the watchdog reports as missed
   heartbeats — the service degrades into exactly the detection it
   exists to produce;
-* **backpressure is bounded and observable** — each shard owns a
-  bounded inbound queue; when a flood outruns the shard, the *oldest*
-  indications are dropped (they are the stalest evidence) and every
-  drop is counted in telemetry;
+* **backpressure is bounded reads** — an indication is applied to its
+  shard as soon as its frame is dispatched (the paper's direct
+  indication call), and each connection reads at most ``_READ_SIZE``
+  bytes before it yields to the event loop.  A flooding client is
+  therefore throttled by TCP flow control: its writes wait until the
+  daemon reads.  An SDK client that cannot deliver keeps indications
+  in its bounded buffer, sheds the *oldest* (the stalest evidence) and
+  counts them in ``client.dropped``; the server itself never queues or
+  sheds indications;
 * **the check cycle is real time** — a ticker task drives
   ``fleet.tick()`` on a fixed wall-clock period, accounting every
-  overrun in ``missed_ticks``; tests pass ``tick_interval=None`` and
+  overrun in ``missed_ticks`` and yielding to the event loop between
+  cycles even when they overrun; tests pass ``tick_interval=None`` and
   call :meth:`SupervisionServer.tick` themselves for determinism.
 
 The daemon also serves HTTP ``GET /metrics`` (Prometheus text
@@ -29,11 +35,10 @@ responder — no web framework, no dependency.
 from __future__ import annotations
 
 import asyncio
-import collections
 import json
 import os
 import time as _time
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.reports import EcuStateChange, RunnableError, TaskFaultEvent
 from ..telemetry import MetricsRegistry, NULL_SINK, TelemetryEvent
@@ -65,74 +70,10 @@ from .supervisor import RegistrationError
 
 __all__ = ["SupervisionServer"]
 
-#: Bytes per socket read.
-_READ_SIZE = 64 * 1024
-
-#: Indications a shard drain applies before yielding to the event loop
-#: (bounds how long a backlog can delay the check-cycle ticker).
-_DRAIN_YIELD_EVERY = 64
-
-
-class _DropOldestQueue:
-    """Bounded FIFO with drop-oldest overflow and ``join()`` semantics.
-
-    ``asyncio.Queue`` blocks producers when full; a supervision daemon
-    must never let one flooding client stall the reader loop, so
-    overflow evicts the oldest queued indication instead (stalest
-    evidence first) and counts it.
-    """
-
-    def __init__(self, limit: int) -> None:
-        if limit < 1:
-            raise ValueError("queue limit must be >= 1")
-        self._items: Deque[Any] = collections.deque()
-        self._limit = limit
-        self._readable = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._unfinished = 0
-        self.dropped = 0
-
-    def put_nowait(self, item: Any) -> int:
-        """Enqueue; returns the number of items evicted (0 or 1)."""
-        evicted = 0
-        if len(self._items) >= self._limit:
-            self._items.popleft()
-            self.dropped += 1
-            # Eviction consumes the evicted item's join() obligation,
-            # but must NOT route through _mark_done(): setting _idle
-            # wakes pending join() waiters irrevocably, and the item
-            # being enqueued right below is still unprocessed.  A full
-            # queue guarantees _unfinished >= 1, so a bare decrement
-            # (immediately re-incremented by the append) keeps the
-            # count exact without ever touching the event.
-            self._unfinished -= 1
-            evicted = 1
-        self._items.append(item)
-        self._unfinished += 1
-        self._idle.clear()
-        self._readable.set()
-        return evicted
-
-    async def get(self) -> Any:
-        while not self._items:
-            self._readable.clear()
-            await self._readable.wait()
-        return self._items.popleft()
-
-    def task_done(self) -> None:
-        self._mark_done()
-
-    def _mark_done(self) -> None:
-        self._unfinished -= 1
-        if self._unfinished <= 0:
-            self._idle.set()
-
-    async def join(self) -> None:
-        await self._idle.wait()
-
-    def __len__(self) -> int:
-        return len(self._items)
+#: Bytes per socket read.  The connection loop yields after every
+#: chunk, so this bounds how long one flooding client can hold the
+#: event loop (and delay the check-cycle ticker) between yields.
+_READ_SIZE = 16 * 1024
 
 
 class _Connection:
@@ -164,7 +105,6 @@ class SupervisionServer:
         shards: int = 1,
         strict: bool = False,
         tick_interval: Optional[float] = 0.01,
-        queue_limit: int = 10_000,
         telemetry: Optional[MetricsRegistry] = None,
         event_sink=None,
         name: str = "repro-supervisord",
@@ -198,9 +138,6 @@ class SupervisionServer:
             telemetry=self.telemetry,
             event_sink=self.event_sink,
         )
-        self._queues: List[_DropOldestQueue] = [
-            _DropOldestQueue(queue_limit) for _ in range(shards)
-        ]
         self._conn_of: Dict[str, _Connection] = {}
         self._state_hooked: Set[str] = set()
         self._connections: Set[_Connection] = set()
@@ -237,10 +174,8 @@ class SupervisionServer:
             "Frames rejected by the wire-protocol decoder")
         self._tm_indications = tm.counter(
             "service_indications_total",
-            "Heartbeat and flow indications accepted into shard queues")
-        self._tm_dropped = tm.counter(
-            "service_dropped_indications_total",
-            "Indications evicted oldest-first by shard backpressure")
+            "Well-formed heartbeat and flow indications handed to "
+            "their shard")
         self._tm_unknown = tm.counter(
             "service_unknown_registration_total",
             "Indications naming a registration the fleet does not know")
@@ -266,8 +201,8 @@ class SupervisionServer:
             "DETECTION/STATE pushes dropped because no client was bound")
         self._tm_handler_errors = tm.counter(
             "service_handler_errors_total",
-            "Indications whose shard handler raised (isolated, drain "
-            "continues)")
+            "Indications whose shard handler raised (isolated; the rest "
+            "of the batch is still applied)")
         self._tm_journal_records = tm.counter(
             "service_journal_records_total",
             "State-changing frames appended to the durable journal")
@@ -321,8 +256,8 @@ class SupervisionServer:
         self._started = True
 
     async def _bind_and_run(self) -> None:
-        """Bind listeners, start the shard drains, ticker and snapshots
-        (the active-server half of startup, deferred in standby mode)."""
+        """Bind listeners, start the ticker and snapshots (the
+        active-server half of startup, deferred in standby mode)."""
         loop = asyncio.get_running_loop()
         if self.port is not None:
             server = await asyncio.start_server(
@@ -341,10 +276,6 @@ class SupervisionServer:
             )
             self.http_port = server.sockets[0].getsockname()[1]
             self._servers.append(server)
-        for shard, queue in zip(self.fleet.shards, self._queues):
-            self._tasks.append(
-                loop.create_task(self._drain_shard(shard, queue))
-            )
         if self.tick_interval is not None:
             self._tasks.append(loop.create_task(self._ticker()))
         if self.store is not None and self.snapshot_interval is not None:
@@ -386,10 +317,6 @@ class SupervisionServer:
                 self.store.clear_lock()
             self.store.close()
 
-    async def drain(self) -> None:
-        """Wait until every queued indication has been applied."""
-        await asyncio.gather(*(queue.join() for queue in self._queues))
-
     def now(self) -> int:
         """Server time in integer microseconds since start (the same
         integer-tick axis every simulated component uses)."""
@@ -410,9 +337,10 @@ class SupervisionServer:
         period = self.tick_interval
         next_at = loop.time() + period
         while True:
-            delay = next_at - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
+            # Always await, even when overrunning: a check cycle that
+            # costs more than the period must still let sockets and
+            # /healthz run between cycles.
+            await asyncio.sleep(max(next_at - loop.time(), 0))
             late = loop.time() - next_at
             if late > period:
                 missed = int(late // period)
@@ -421,31 +349,6 @@ class SupervisionServer:
                 next_at += period * missed
             self.tick()
             next_at += period
-
-    async def _drain_shard(
-        self, shard, queue: _DropOldestQueue
-    ) -> None:
-        processed = 0
-        while True:
-            item = await queue.get()
-            try:
-                if item[0] == "hb":
-                    shard.heartbeat(item[1], item[2], item[3], item[4])
-                else:
-                    shard.task_start(item[1], item[2])
-            except Exception:
-                # One poisoned indication must not kill the drain task —
-                # a dead drain leaves the queue unconsumed forever and
-                # hangs every later join()/drain().  Count and continue.
-                self.handler_errors += 1
-                self._tm_handler_errors.inc()
-            finally:
-                queue.task_done()
-            # queue.get() is synchronous while items are queued; yield
-            # periodically so a deep backlog cannot starve the ticker.
-            processed += 1
-            if processed % _DRAIN_YIELD_EVERY == 0:
-                await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
     # durable state: restore, journal, snapshots, warm standby
@@ -522,7 +425,7 @@ class SupervisionServer:
 
         The fleet state is serialized on-loop (the fleet is only ever
         mutated on-loop), the ``json.dump`` + ``fsync`` + rename goes to
-        a worker thread so a large fleet cannot stall heartbeat draining
+        a worker thread so a large fleet cannot stall heartbeat ingest
         or the check-cycle ticker, and the journal is truncated back
         on-loop afterwards — keeping any records appended while the
         thread was writing (their seq is beyond the snapshot's), so a
@@ -618,7 +521,7 @@ class SupervisionServer:
 
     async def promote(self) -> None:
         """Turn a standby into the live server: final journal catch-up,
-        take the primary lock, bind listeners, start drains/ticker/
+        take the primary lock, bind listeners, start ticker and
         snapshots.  Idempotent; a no-op on a non-standby server."""
         if self.promoted or not self.standby:
             return
@@ -680,6 +583,10 @@ class SupervisionServer:
                         break
                 if conn.said_bye:
                     break
+                # Yield after every bounded read: a flooding client
+                # cannot hold the loop, and its excess waits in the
+                # kernel's socket buffers (TCP flow control).
+                await asyncio.sleep(0)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
@@ -801,7 +708,6 @@ class SupervisionServer:
             self._send(conn, T_ACK, ok=False, re=frame.type, name=name,
                        error="indication frames need a 'batch' list")
             return
-        queue = self._queues[shard.index]
         stamp = None
         for entry in batch:
             if kind == "hb":
@@ -817,16 +723,21 @@ class SupervisionServer:
                 if not isinstance(at, int) or isinstance(at, bool):
                     self._tm_malformed.inc()
                     continue
-                item = ("hb", name, runnable, at, task)
-            else:
-                if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                        or not isinstance(entry[0], str)):
-                    self._tm_malformed.inc()
-                    continue
-                item = ("flow", name, entry[0])
+            elif (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                    or not isinstance(entry[0], str)):
+                self._tm_malformed.inc()
+                continue
             self._tm_indications.inc()
-            if queue.put_nowait(item):
-                self._tm_dropped.inc()
+            try:
+                if kind == "hb":
+                    shard.heartbeat(name, runnable, at, task)
+                else:
+                    shard.task_start(name, entry[0])
+            except Exception:
+                # One poisoned indication must not abort the rest of its
+                # batch or the connection.  Count it and continue.
+                self.handler_errors += 1
+                self._tm_handler_errors.inc()
 
     # ------------------------------------------------------------------
     # push channels (server → client frames)
@@ -918,8 +829,6 @@ class SupervisionServer:
             server=self.name,
             uptime_us=self.now() if self._started else 0,
             connections=len(self._connections),
-            queued=sum(len(queue) for queue in self._queues),
-            dropped=sum(queue.dropped for queue in self._queues),
             missed_ticks=self.missed_ticks,
             handler_errors=self.handler_errors,
             role=("standby" if self.standby

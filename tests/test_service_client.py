@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -102,6 +103,19 @@ class FakeDaemon:
     def frames_of(self, type):
         return [f for f in self.frames if f.type == type]
 
+    def wait_for_frames(self, type, count=1, timeout=5.0):
+        """Wait until at least ``count`` frames of ``type`` were read.
+
+        The accept loop records frames on its own thread, so a
+        fire-and-forget send (``flush()``) is only visible here once
+        that thread has read it; an ACKed request needs no wait."""
+        deadline = time.monotonic() + timeout
+        while len(self.frames_of(type)) < count:
+            assert time.monotonic() < deadline, (
+                f"timed out waiting for {count} {type} frame(s)")
+            time.sleep(0.005)
+        return self.frames_of(type)
+
     def close(self):
         self._stop.set()
         self.listener.close()
@@ -179,6 +193,7 @@ class TestBatching:
         client.task_start("T", 2)
         client.heartbeat("sense", 3, "T")
         client.flush()
+        daemon.wait_for_frames(T_HEARTBEAT, count=2)
         kinds = [f.type for f in daemon.frames
                  if f.type in (T_HEARTBEAT, T_FLOW)]
         assert kinds == [T_HEARTBEAT, T_FLOW, T_HEARTBEAT]
@@ -193,6 +208,7 @@ class TestBatching:
         client.connect()
         client.register("p", make_hyp_dict())
         assert client.flush() is True
+        daemon.wait_for_frames(T_HEARTBEAT)
         assert daemon.frames_of(T_HEARTBEAT)[0].get("batch") == [
             ["sense", 1, "T"]]
         client.close(say_bye=False)
@@ -230,6 +246,7 @@ class TestOfflineBuffer:
         for t in range(5):
             client.heartbeat("sense", t, "T")
         assert client.flush()
+        daemon.wait_for_frames(T_HEARTBEAT)
         (frame,) = daemon.frames_of(T_HEARTBEAT)
         assert [entry[1] for entry in frame.get("batch")] == list(range(5))
         client.close(say_bye=False)
@@ -373,11 +390,12 @@ class TestPushes:
             client = WatchdogClient(
                 daemon.address, on_detection=lambda d: seen.append(d))
             client.connect()
-            deadline = 50
-            while len(client.detections) < 1 and deadline:
+            # The DETECTION and STATE pushes may arrive in separate
+            # reads: poll until both have been dispatched.
+            deadline = time.monotonic() + 5.0
+            while ((not client.detections or not client.states)
+                   and time.monotonic() < deadline):
                 client.poll()
-                deadline -= 1
-                import time
                 time.sleep(0.01)
             assert client.detections[0]["error_type"] == "aliveness"
             assert seen == client.detections

@@ -6,8 +6,10 @@ recovery — is applied twice:
 * **direct**: straight into a :func:`repro.service.build_watchdog`
   instance (the same constructor the daemon uses),
 * **service**: through the SDK, over a real loopback socket, into the
-  daemon (manual-tick mode: ``await server.drain()`` before every
-  ``server.tick``).
+  daemon (manual-tick mode: every client's ``sync()`` HELLO round-trip
+  before every ``server.tick`` proves its indications were *applied*,
+  because the daemon applies an indication when it dispatches the
+  frame).
 
 The detection sequences and final task/ECU states must be
 *bit-identical*.  Any divergence means the wire path reorders, drops,
@@ -126,9 +128,10 @@ async def run_service(names, shards):
                 else:
                     tick_at = step[1]
             if tick_at is not None:
+                # HELLO barrier: once sync() returns, every indication
+                # the client sent has been applied by the daemon.
                 for client in clients.values():
                     assert await loop.run_in_executor(None, client.sync)
-                await server.drain()
                 server.tick(tick_at)
 
         results = {}
@@ -215,8 +218,8 @@ async def run_service_crash(name, state_dir, crash_after_ticks):
                 await loop.run_in_executor(
                     None, client.task_start, step[1], step[2])
             else:
+                # HELLO barrier: every indication sent so far is applied.
                 assert await loop.run_in_executor(None, client.sync)
-                await server.drain()
                 server.tick(step[1])
                 ticks += 1
                 if ticks == crash_after_ticks:

@@ -292,7 +292,6 @@ class TestServerRestore:
             await peer.send(T_HEARTBEAT, name="p",
                             batch=[["sense", 5, "T"], ["act", 6, "T"]])
             await barrier(peer)
-            await server.drain()
             server.tick(7)
             captured = server.fleet.snapshot()
             await server.stop()  # clean stop → final snapshot

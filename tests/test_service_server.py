@@ -1,8 +1,10 @@
-"""The asyncio daemon: transport, degradation, backpressure, HTTP."""
+"""The asyncio daemon: transport, degradation, overload, HTTP."""
 
 import asyncio
 import json
+import socket
 import struct
+import time
 
 import pytest
 
@@ -35,6 +37,15 @@ def make_hyp_dict(prefix: str = "", task: str = "T"):
     return hypothesis_to_dict(hyp)
 
 
+def make_wide_hyp_dict():
+    """One runnable whose windows no flood or stall can violate."""
+    hyp = FaultHypothesis()
+    hyp.add_runnable(RunnableHypothesis(
+        "hot", task="T", aliveness_period=1_000_000, min_heartbeats=1,
+        arrival_period=1_000_000, max_heartbeats=10 ** 9))
+    return hypothesis_to_dict(hyp)
+
+
 async def start_server(**kwargs):
     kwargs.setdefault("port", 0)
     kwargs.setdefault("tick_interval", None)
@@ -48,8 +59,9 @@ async def in_thread(fn, *args):
 
 
 async def barrier(peer):
-    """HELLO round-trip: frames are dispatched in order per connection,
-    so once the ACK arrives every prior indication is enqueued."""
+    """HELLO round-trip: frames are dispatched in order per connection
+    and an indication is applied when its frame is dispatched, so once
+    the ACK arrives every prior indication has been applied."""
     await peer.send(T_HELLO, client="barrier")
     ack = await peer.recv_frame()
     assert ack.get("ok")
@@ -109,7 +121,6 @@ class TestWireServer:
             await peer.send(T_HEARTBEAT, name="p",
                             batch=[["sense", 5, "T"], ["act", 6, "T"]])
             await barrier(peer)
-            await server.drain()
             registration = server.fleet.registration("p")
             assert registration.indications == 2
             await peer.send(T_BYE)
@@ -236,7 +247,6 @@ class TestWireServer:
             await peer.recv_frame()
             await peer.send(T_HEARTBEAT, name="p", batch=[["sense", None, "T"]])
             await barrier(peer)
-            await server.drain()
             assert server.fleet.registration("p").indications == 1
             await peer.close()
             await server.stop()
@@ -253,7 +263,6 @@ class TestDegradation:
             await peer.send(T_HEARTBEAT, name="p",
                             batch=[["sense", 1, "T"], ["act", 2, "T"]])
             await barrier(peer)
-            await server.drain()
             await peer.close()  # vanish without BYE
             await asyncio.sleep(0.02)
             registration = server.fleet.registration("p")
@@ -271,30 +280,88 @@ class TestDegradation:
             await server.stop()
         asyncio.run(scenario())
 
-    def test_backpressure_drops_oldest_and_counts(self):
+    def test_flood_keeps_ticker_on_time_and_loses_nothing(self):
+        """Overload: a client writing HEARTBEAT frames unpaced is
+        throttled by bounded reads and TCP flow control, so the ticker
+        keeps most of its check cycles, another connection is still
+        served, and every indication sent is accounted for."""
+        period = 0.01
+        batch = [["hot", None, "T"]] * 8
+        burst = encode_frame(T_HEARTBEAT, name="flood", batch=batch) * 64
+
+        def flood(host, port, seconds):
+            sock = socket.create_connection((host, port), timeout=10)
+            decoder = FrameDecoder()
+
+            def request(type, **data):
+                sock.sendall(encode_frame(type, **data))
+                while True:
+                    acks = [f for f in decoder.feed(sock.recv(65536))
+                            if f.type == T_ACK]
+                    if acks:
+                        return acks[0]
+
+            assert request(T_REGISTER, name="flood",
+                           hypothesis=make_wide_hyp_dict()).get("ok")
+            sent = 0
+            stop_at = time.monotonic() + seconds
+            while time.monotonic() < stop_at:
+                sock.sendall(burst)
+                sent += 64 * len(batch)
+            assert request(T_HELLO, client="flood").get("ok")
+            sock.close()
+            return sent
+
         async def scenario():
-            server = await start_server(queue_limit=10)
+            server = await start_server(tick_interval=period)
+            loop = asyncio.get_running_loop()
+            ticks0 = server.fleet.stats()["ticks"]
+            began = loop.time()
+            writer = loop.run_in_executor(
+                None, flood, server.host, server.port, 1.0)
+            await asyncio.sleep(0.3)
+            peer = await _WireClient.connect(server)
+            await peer.send(T_HELLO, client="second")
+            assert (await peer.recv_frame()).get("ok")
+            sent = await writer
+            due = (loop.time() - began) / period
+            ran = server.fleet.stats()["ticks"] - ticks0
+            assert ran >= due / 2, f"{ran} of {due:.0f} check cycles ran"
+            applied = server.fleet.registration("flood").indications
+            malformed = server.telemetry.counter(
+                "service_malformed_frames_total").value
+            assert applied + malformed == sent
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_poisoned_indication_counted_rest_of_batch_applied(self):
+        """A handler exception is isolated to its indication: it is
+        counted, and the indications after it are still applied."""
+        async def scenario():
+            server = await start_server()
             peer = await _WireClient.connect(server)
             await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
             assert (await peer.recv_frame()).get("ok")
-            # Flood 50 indications in one frame without yielding to the
-            # drain task: only the newest 10 survive.
-            batch = [["sense", t, "T"] for t in range(50)]
-            await peer.send(T_HEARTBEAT, name="p", batch=batch)
-            # Let the reader task ingest the frame (it enqueues
-            # synchronously while dispatching).
-            for _ in range(50):
-                await asyncio.sleep(0)
-                if server.telemetry.counter(
-                        "service_indications_total").value == 50:
-                    break
-            await server.drain()
-            dropped = server.telemetry.counter(
-                "service_dropped_indications_total").value
-            applied = server.fleet.registration("p").indications
-            assert applied + dropped == 50
-            assert dropped >= 1
-            assert server.health()["dropped"] == dropped
+            shard = server.fleet.shard_for("p")
+            original = shard.heartbeat
+
+            def exploding(registration, runnable, time, task=None):
+                if runnable == "poison":
+                    raise RuntimeError("boom")
+                original(registration, runnable, time, task)
+
+            shard.heartbeat = exploding
+            await peer.send(T_HEARTBEAT, name="p", batch=[
+                ["sense", 1, "T"], ["poison", 2, "T"], ["act", 3, "T"],
+            ])
+            await barrier(peer)
+            assert server.handler_errors == 1
+            assert server.telemetry.counter(
+                "service_handler_errors_total").value == 1
+            # The items after the poison were still applied.
+            assert server.fleet.registration("p").indications == 2
+            assert server.health()["handler_errors"] == 1
             await peer.close()
             await server.stop()
         asyncio.run(scenario())
@@ -320,7 +387,6 @@ class TestSdkAgainstServer:
                 return client
 
             client = await in_thread(client_setup)
-            await server.drain()
             assert server.tick(100) == []
             for t in (200, 300, 400, 500):
                 server.tick(t)
@@ -350,7 +416,6 @@ class TestSdkAgainstServer:
                 return True
 
             assert await in_thread(client_work)
-            await server.drain()
             assert server.fleet.registration("p").indications == 1
             await server.stop()
             import os
@@ -367,7 +432,6 @@ class TestHttp:
             await peer.recv_frame()
             await peer.send(T_HEARTBEAT, name="p", batch=[["sense", 1, "T"]])
             await barrier(peer)
-            await server.drain()
             server.tick(10)
 
             async def http_get(path):
@@ -424,6 +488,51 @@ class TestTicker:
             assert server.fleet.stats()["ticks"] >= 5
         asyncio.run(scenario())
 
+    def test_overrunning_check_cycle_still_yields(self):
+        """Regression: the ticker used to await only while its next
+        cycle lay in the future.  Once a check cycle cost more than the
+        period it never yielded again, so no socket was read and no
+        timer fired.  Each cycle here costs about twice the period; the
+        slowdown ends after a few seconds, so a regression fails the
+        deadline instead of hanging the suite."""
+        period = 0.01
+        deadline = 2.0
+
+        async def scenario():
+            server = await start_server(tick_interval=period)
+            loop = asyncio.get_running_loop()
+            original = server.fleet.tick
+            relent_at = time.monotonic() + 2 * deadline
+
+            def slow_tick(now):
+                if time.monotonic() < relent_at:
+                    time.sleep(2 * period)
+                return original(now)
+
+            server.fleet.tick = slow_tick
+
+            async def timed_sleep():
+                await asyncio.sleep(0.001)
+                return loop.time()
+
+            async def timed_hello():
+                peer = await _WireClient.connect(server)
+                await peer.send(T_HELLO, client="second")
+                ack = await peer.recv_frame(timeout=3 * deadline)
+                await peer.close()
+                assert ack.get("ok")
+                return loop.time()
+
+            began = loop.time()
+            await asyncio.sleep(5 * period)  # the overrun sets in
+            slept, answered = await asyncio.gather(
+                timed_sleep(), timed_hello())
+            assert slept - began < deadline
+            assert answered - began < deadline
+            assert server.missed_ticks > 0
+            await server.stop()
+        asyncio.run(scenario())
+
     def test_needs_some_listener(self):
         with pytest.raises(ValueError):
             SupervisionServer()
@@ -432,119 +541,3 @@ class TestTicker:
         # The ACK path asserts v=1 framing end to end; a bump must be
         # deliberate.
         assert PROTOCOL_VERSION == 1
-
-
-class TestQueueAccounting:
-    """Eviction and failure accounting of the shard queues: nothing the
-    queue or a handler does may leave join()/drain() hanging."""
-
-    def test_eviction_then_join_terminates(self):
-        """Regression (flood-then-drain): every evicted item's join()
-        obligation must be consumed by the eviction itself."""
-        from repro.service.server import _DropOldestQueue
-
-        async def scenario():
-            queue = _DropOldestQueue(4)
-            for n in range(25):  # 21 evictions, 4 survivors
-                queue.put_nowait(n)
-            assert queue.dropped == 21
-            assert len(queue) == 4
-            for _ in range(4):
-                await queue.get()
-                queue.task_done()
-            await asyncio.wait_for(queue.join(), timeout=2)
-        asyncio.run(scenario())
-
-    def test_eviction_does_not_wake_pending_join(self):
-        """Regression: eviction used to route through the task_done
-        path, which momentarily set the idle event (a full queue of 1
-        drops to 0 unfinished before the new item is counted) —
-        Event.set() wakes waiters irrevocably, so a concurrent join()
-        could return while the just-enqueued indication was still
-        unprocessed, making a SYNC ack lie."""
-        from repro.service.server import _DropOldestQueue
-
-        async def scenario():
-            queue = _DropOldestQueue(1)
-            queue.put_nowait("a")
-            waiter = asyncio.ensure_future(queue.join())
-            await asyncio.sleep(0)            # waiter parked on idle
-            assert queue.put_nowait("b") == 1  # evicts "a"
-            await asyncio.sleep(0)
-            assert not waiter.done()          # "b" is still unprocessed
-            assert await queue.get() == "b"
-            queue.task_done()
-            await asyncio.wait_for(waiter, timeout=2)
-        asyncio.run(scenario())
-
-    def test_eviction_while_consumer_in_flight(self):
-        from repro.service.server import _DropOldestQueue
-
-        async def scenario():
-            queue = _DropOldestQueue(2)
-            queue.put_nowait("a")
-            queue.put_nowait("b")
-            item = await queue.get()          # "a" in flight
-            queue.put_nowait("c")             # evicts "b"
-            queue.put_nowait("d")             # evicts nothing (room)
-            assert queue.dropped == 0 or queue.dropped == 1
-            queue.task_done()                 # finish "a"
-            while len(queue):
-                await queue.get()
-                queue.task_done()
-            await asyncio.wait_for(queue.join(), timeout=2)
-            assert item == "a"
-        asyncio.run(scenario())
-
-    def test_flood_then_drain_does_not_hang(self):
-        """End-to-end regression: a flood that evicts most of the queue
-        must still let SupervisionServer.drain() return."""
-        async def scenario():
-            server = await start_server(queue_limit=5)
-            peer = await _WireClient.connect(server)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            await peer.send(T_HEARTBEAT, name="p",
-                            batch=[["sense", t, "T"] for t in range(200)])
-            await barrier(peer)
-            await asyncio.wait_for(server.drain(), timeout=5)
-            dropped = server.telemetry.counter(
-                "service_dropped_indications_total").value
-            applied = server.fleet.registration("p").indications
-            assert applied + dropped == 200
-            await peer.close()
-            await server.stop()
-        asyncio.run(scenario())
-
-    def test_poisoned_indication_does_not_kill_drain(self):
-        """Regression: a handler exception used to kill the shard's
-        drain task, leaving the queue unconsumed and drain() hanging
-        forever; now the failure is counted and draining continues."""
-        async def scenario():
-            server = await start_server()
-            peer = await _WireClient.connect(server)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            shard = server.fleet.shard_for("p")
-            original = shard.heartbeat
-
-            def exploding(registration, runnable, time, task=None):
-                if runnable == "poison":
-                    raise RuntimeError("boom")
-                original(registration, runnable, time, task)
-
-            shard.heartbeat = exploding
-            await peer.send(T_HEARTBEAT, name="p", batch=[
-                ["sense", 1, "T"], ["poison", 2, "T"], ["act", 3, "T"],
-            ])
-            await barrier(peer)
-            await asyncio.wait_for(server.drain(), timeout=5)
-            assert server.handler_errors == 1
-            assert server.telemetry.counter(
-                "service_handler_errors_total").value == 1
-            # The items after the poison were still applied.
-            assert server.fleet.registration("p").indications == 2
-            assert server.health()["handler_errors"] == 1
-            await peer.close()
-            await server.stop()
-        asyncio.run(scenario())
