@@ -192,10 +192,6 @@ class HeartbeatMonitoringUnit:
         """Current AS value."""
         return self.counters.active[self._slot_for(runnable)]
 
-    def slot_active(self, slot: int) -> bool:
-        """AS value of an interned slot (hot-path accessor)."""
-        return self.counters.active[slot]
-
     # ------------------------------------------------------------------
     def heartbeat(self, runnable: str, time: int, task: Optional[str] = None) -> None:
         """Record one aliveness indication from the glue code.

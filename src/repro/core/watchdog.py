@@ -22,7 +22,7 @@ runnable's counter set.
 from __future__ import annotations
 
 import warnings as _warnings
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..telemetry import (
     NULL_REGISTRY,
@@ -41,6 +41,9 @@ from .reports import ErrorType, MonitorState, RunnableError, TaskFaultEvent
 from .taskstate import TaskStateIndicationUnit
 
 FaultListener = Callable[[RunnableError], None]
+#: ``(applied, malformed, errors)`` of one indication batch: the entries
+#: applied, the malformed entries skipped, the exceptions isolated.
+BatchResult = Tuple[int, int, List[Exception]]
 
 
 class SoftwareWatchdog:
@@ -159,6 +162,32 @@ class SoftwareWatchdog:
         indication.  Feeds flow checking first (the execution-sequence
         view), then the heartbeat counters.
 
+        A one-entry :meth:`heartbeat_batch`, except that an exception
+        raised by the units propagates and a malformed indication raises
+        :class:`TypeError`.
+        """
+        _, malformed, errors = self.heartbeat_batch(((runnable, time, task),))
+        if errors:
+            raise errors[0]
+        if malformed:
+            raise TypeError(
+                "heartbeat indication needs a str runnable, an int time "
+                f"and a str or None task, got {(runnable, time, task)!r}"
+            )
+
+    def heartbeat_batch(
+        self, batch: Iterable[Any], stamp: Optional[int] = None
+    ) -> BatchResult:
+        """Interface 1 for a whole batch of indications, in order.
+
+        Each entry is ``[runnable, time, task]``: a str runnable, an int
+        time (``None`` takes ``stamp``) and a str or ``None`` task.  Any
+        other entry is *malformed*: counted and skipped.  An exception
+        raised while applying one entry is isolated to it, so the rest
+        of the batch is still applied.  Returns ``(applied, malformed,
+        errors)``: the entries applied, the malformed count, and the
+        exceptions raised.
+
         One dict lookup interns the runnable name to its slot; the rest
         of the path works on flat slot-indexed storage.  A runnable with
         Activation Status ``False`` is invisible to *both* units: a
@@ -167,17 +196,43 @@ class SoftwareWatchdog:
         its task's stream predecessor.
         """
         hbm = self.hbm
-        slot = hbm.slot_of.get(runnable)
-        if slot is None:
-            # Corrupted identifier: count it, and let the PFC unit see
-            # it (unknown runnables are transparent to flow checking).
-            hbm.unknown_heartbeats += 1
-            self.pfc.observe(runnable, time, task)
-            return
-        if not hbm.slot_active(slot):
-            return
-        self.pfc.observe(runnable, time, task)
-        hbm.heartbeat_slot(slot, time, task)
+        slot_of = hbm.slot_of
+        active = hbm.counters.active
+        observe = self.pfc.observe
+        heartbeat_slot = hbm.heartbeat_slot
+        applied = malformed = 0
+        errors: List[Exception] = []
+        for entry in batch:
+            # Unpacking is the shape check: a JSON value that is not a
+            # three-element array either fails here or leaves a str
+            # (a character or an object key) where the int time goes.
+            try:
+                runnable, time, task = entry
+            except (TypeError, ValueError):
+                malformed += 1
+                continue
+            if time is None:
+                time = stamp
+            if (type(runnable) is not str or type(time) is not int
+                    or (task is not None and type(task) is not str)):
+                malformed += 1
+                continue
+            try:
+                slot = slot_of.get(runnable)
+                if slot is None:
+                    # Corrupted identifier: count it, and let the PFC
+                    # unit see it (unknown runnables are transparent to
+                    # flow checking).
+                    hbm.unknown_heartbeats += 1
+                    observe(runnable, time, task)
+                elif active[slot]:
+                    observe(runnable, time, task)
+                    heartbeat_slot(slot, time, task)
+            except Exception as exc:
+                errors.append(exc)
+                continue
+            applied += 1
+        return applied, malformed, errors
 
     def add_fault_listener(self, listener: FaultListener) -> None:
         """Interface 2: subscribe to detected faults (the FMF hook)."""
@@ -214,6 +269,28 @@ class SoftwareWatchdog:
         """Inform the PFC unit that a task activation began (the stream
         restarts at a legal entry point)."""
         self.pfc.reset_stream(task)
+
+    def task_start_batch(self, batch: Iterable[Any]) -> BatchResult:
+        """:meth:`notify_task_start` for a whole batch, in order.
+
+        Each entry is ``[task, time]`` with a str task (the time is not
+        used).  Malformed entries and per-entry exceptions are handled
+        as in :meth:`heartbeat_batch`, with the same return value."""
+        reset_stream = self.pfc.reset_stream
+        applied = malformed = 0
+        errors: List[Exception] = []
+        for entry in batch:
+            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                    or type(entry[0]) is not str):
+                malformed += 1
+                continue
+            try:
+                reset_stream(entry[0])
+            except Exception as exc:
+                errors.append(exc)
+                continue
+            applied += 1
+        return applied, malformed, errors
 
     def set_activation_status(self, runnable: str, active: bool) -> None:
         """Enable/disable monitoring of one runnable (the AS switch)."""

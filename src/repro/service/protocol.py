@@ -50,8 +50,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
     "FatalProtocolError",
@@ -83,6 +82,7 @@ MAX_FRAME_BYTES = 1 << 20
 
 _HEADER = struct.Struct("!I")
 HEADER_BYTES = _HEADER.size
+_unpack_header = _HEADER.unpack_from
 
 T_HELLO = "HELLO"
 T_REGISTER = "REGISTER"
@@ -106,16 +106,33 @@ class FatalProtocolError(ProtocolError):
     """The byte stream itself is corrupt; the connection must close."""
 
 
-@dataclass(frozen=True)
 class Frame:
     """One decoded protocol frame."""
 
-    type: str
-    data: Dict[str, Any] = field(default_factory=dict)
-    version: int = PROTOCOL_VERSION
+    __slots__ = ("type", "data", "version")
+
+    def __init__(
+        self,
+        type: str,
+        data: Optional[Dict[str, Any]] = None,
+        version: int = PROTOCOL_VERSION,
+    ) -> None:
+        self.type = type
+        self.data = {} if data is None else data
+        self.version = version
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return (self.type, self.data, self.version) == (
+            other.type, other.data, other.version)
+
+    def __repr__(self) -> str:
+        return (f"Frame(type={self.type!r}, data={self.data!r}, "
+                f"version={self.version!r})")
 
 
 def encode_payload(type: str, **data: Any) -> Dict[str, Any]:
@@ -139,6 +156,9 @@ def encode_frame(type: str, **data: Any) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
+_json_decode = json.JSONDecoder().decode
+
+
 def _decode_body(body: bytes) -> Frame:
     """Parse one delimited payload into a :class:`Frame`.
 
@@ -146,10 +166,10 @@ def _decode_body(body: bytes) -> Frame:
     framed correctly) for anything wrong *inside* the payload.
     """
     try:
-        payload = json.loads(body.decode("utf-8"))
+        payload = _json_decode(body.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from None
-    if not isinstance(payload, dict):
+    if type(payload) is not dict:
         raise ProtocolError(
             f"frame payload must be a JSON object, got {type(payload).__name__}"
         )
@@ -159,7 +179,7 @@ def _decode_body(body: bytes) -> Frame:
     frame_type = payload.pop("type", None)
     if frame_type not in _KNOWN_TYPES:
         raise ProtocolError(f"unknown frame type: {frame_type!r}")
-    return Frame(type=frame_type, data=payload, version=version)
+    return Frame(frame_type, payload, version)
 
 
 class FrameDecoder:
@@ -169,44 +189,62 @@ class FrameDecoder:
     objects or :class:`ProtocolError` instances — a malformed payload is
     surfaced *in order* so the server can ACK the failure and keep
     decoding subsequent frames from the same connection.
+
+    A corrupt length header fails the decoder for good: it is kept in
+    :attr:`error`, and :meth:`feed` raises it.  The frames that came
+    before it in the same chunk are still returned first — the error is
+    raised by the *next* :meth:`feed` — so a caller that checks
+    :attr:`error` after handling them loses no frame.
     """
 
     def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self._buffer = bytearray()
         self._max = max_frame_bytes
+        #: The :class:`FatalProtocolError` that failed the stream, if any.
+        self.error: Optional[FatalProtocolError] = None
         #: Totals kept by the decoder (cheap ints; exported by the
         #: server's telemetry).
         self.frames_decoded = 0
         self.frames_rejected = 0
 
     def feed(self, chunk: bytes) -> List[Union[Frame, ProtocolError]]:
-        """Consume ``chunk``; return every complete frame it finished."""
-        self._buffer.extend(chunk)
-        return list(self._drain())
+        """Consume ``chunk``; return every complete frame it finished.
 
-    def _drain(self) -> Iterator[Union[Frame, ProtocolError]]:
-        while True:
-            if len(self._buffer) < HEADER_BYTES:
-                return
-            (length,) = _HEADER.unpack_from(self._buffer)
+        Walks an offset through the buffer and trims the consumed bytes
+        once per call, not once per frame."""
+        if self.error is not None:
+            raise self.error
+        buffer = self._buffer
+        buffer.extend(chunk)
+        size = len(buffer)
+        items: List[Union[Frame, ProtocolError]] = []
+        offset = 0
+        while size - offset >= HEADER_BYTES:
+            (length,) = _unpack_header(buffer, offset)
             if length > self._max:
-                raise FatalProtocolError(
+                self.error = FatalProtocolError(
                     f"frame length {length} exceeds the {self._max}-byte "
                     "limit; stream framing is corrupt"
                 )
-            end = HEADER_BYTES + length
-            if len(self._buffer) < end:
-                return
-            body = bytes(self._buffer[HEADER_BYTES:end])
-            del self._buffer[:end]
+                if not items:
+                    raise self.error
+                break
+            start = offset + HEADER_BYTES
+            end = start + length
+            if end > size:
+                break
+            offset = end
             try:
-                frame = _decode_body(body)
+                frame = _decode_body(buffer[start:end])
             except ProtocolError as exc:
                 self.frames_rejected += 1
-                yield exc
+                items.append(exc)
             else:
                 self.frames_decoded += 1
-                yield frame
+                items.append(frame)
+        if offset:
+            del buffer[:offset]
+        return items
 
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet framing a complete frame."""

@@ -174,8 +174,8 @@ class SupervisionServer:
             "Frames rejected by the wire-protocol decoder")
         self._tm_indications = tm.counter(
             "service_indications_total",
-            "Well-formed heartbeat and flow indications handed to "
-            "their shard")
+            "Well-formed heartbeat and flow indications their shard "
+            "applied")
         self._tm_unknown = tm.counter(
             "service_unknown_registration_total",
             "Indications naming a registration the fleet does not know")
@@ -567,10 +567,8 @@ class SupervisionServer:
                     break
                 try:
                     items = decoder.feed(chunk)
-                except FatalProtocolError as exc:
-                    self._tm_malformed.inc()
-                    self._send(conn, T_ACK, ok=False, re=None, error=str(exc))
-                    break
+                except FatalProtocolError:
+                    items = ()
                 for item in items:
                     if isinstance(item, ProtocolError):
                         self._tm_malformed.inc()
@@ -582,6 +580,13 @@ class SupervisionServer:
                     if conn.said_bye:
                         break
                 if conn.said_bye:
+                    break
+                if decoder.error is not None:
+                    # Corrupt framing: the frames decoded before it were
+                    # dispatched above; nothing after it can be trusted.
+                    self._tm_malformed.inc()
+                    self._send(conn, T_ACK, ok=False, re=None,
+                               error=str(decoder.error))
                     break
                 # Yield after every bounded read: a flooding client
                 # cannot hold the loop, and its excess waits in the
@@ -605,7 +610,9 @@ class SupervisionServer:
                 "Decoded protocol frames by type", type=frame.type)
             self._tm_frames[frame.type] = counter
         counter.inc()
-        if frame.type == T_HELLO:
+        if frame.type == T_HEARTBEAT:
+            self._handle_indications(conn, frame, kind="hb")
+        elif frame.type == T_HELLO:
             conn.client_name = str(frame.get("client", "") or f"conn{conn.id}")
             # watch=true subscribes this connection to every DETECTION
             # (monitoring clients); default is own-registrations only.
@@ -613,8 +620,6 @@ class SupervisionServer:
             self._send(conn, T_ACK, ok=True, re=T_HELLO, server=self.name)
         elif frame.type == T_REGISTER:
             self._handle_register(conn, frame)
-        elif frame.type == T_HEARTBEAT:
-            self._handle_indications(conn, frame, kind="hb")
         elif frame.type == T_FLOW:
             self._handle_indications(conn, frame, kind="flow")
         elif frame.type == T_BYE:
@@ -697,47 +702,34 @@ class SupervisionServer:
     def _handle_indications(
         self, conn: _Connection, frame: Frame, *, kind: str
     ) -> None:
-        name = frame.get("name")
+        data = frame.data
+        name = data.get("name")
         shard = self.fleet.shard_for(name) if isinstance(name, str) else None
         if shard is None:
             self._tm_unknown.inc()
             return
-        batch = frame.get("batch")
+        batch = data.get("batch")
         if not isinstance(batch, list):
             self._tm_malformed.inc()
             self._send(conn, T_ACK, ok=False, re=frame.type, name=name,
                        error="indication frames need a 'batch' list")
             return
-        stamp = None
-        for entry in batch:
-            if kind == "hb":
-                if (not isinstance(entry, (list, tuple)) or len(entry) != 3
-                        or not isinstance(entry[0], str)):
-                    self._tm_malformed.inc()
-                    continue
-                runnable, at, task = entry
-                if at is None:
-                    if stamp is None:
-                        stamp = self.now()
-                    at = stamp
-                if not isinstance(at, int) or isinstance(at, bool):
-                    self._tm_malformed.inc()
-                    continue
-            elif (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or not isinstance(entry[0], str)):
-                self._tm_malformed.inc()
-                continue
-            self._tm_indications.inc()
-            try:
-                if kind == "hb":
-                    shard.heartbeat(name, runnable, at, task)
-                else:
-                    shard.task_start(name, entry[0])
-            except Exception:
-                # One poisoned indication must not abort the rest of its
-                # batch or the connection.  Count it and continue.
-                self.handler_errors += 1
-                self._tm_handler_errors.inc()
+        # The whole batch is validated and applied in one pass; a
+        # malformed entry is skipped and one poisoned indication does
+        # not abort the rest of its batch or the connection.
+        entry = shard.registrations[name]
+        if kind == "hb":
+            applied, malformed, errors = shard.heartbeat_batch(
+                entry, batch, self.now())
+        else:
+            applied, malformed, errors = shard.task_start_batch(entry, batch)
+        if applied:
+            self._tm_indications.inc(applied)
+        if malformed:
+            self._tm_malformed.inc(malformed)
+        if errors:
+            self.handler_errors += len(errors)
+            self._tm_handler_errors.inc(len(errors))
 
     # ------------------------------------------------------------------
     # push channels (server → client frames)

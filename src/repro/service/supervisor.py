@@ -20,12 +20,18 @@ warnings (the ``--strict`` serve flag).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.config_io import hypothesis_from_dict
 from ..core.hypothesis import FaultHypothesis, HypothesisError
 from ..core.reports import RunnableError, TaskFaultEvent
-from ..core.watchdog import SoftwareWatchdog
+from ..core.watchdog import BatchResult, SoftwareWatchdog
+# wdlint is imported with this module, not at the first REGISTER: the
+# import takes milliseconds, which the event loop cannot spare.
+# ``lint_hypothesis`` is looked up on the package at call time, so a
+# wrapper installed on ``repro.lint.lint_hypothesis`` sees every call.
+from .. import lint
+from ..lint import Severity
 
 __all__ = [
     "Registration",
@@ -191,9 +197,7 @@ class SupervisorShard:
         return registration
 
     def _lint(self, name: str, hypothesis: FaultHypothesis) -> List[str]:
-        from ..lint import Severity, lint_hypothesis
-
-        report = lint_hypothesis(hypothesis, source=name)
+        report = lint.lint_hypothesis(hypothesis, source=name)
         rendered = [str(d) for d in report.diagnostics]
         errors = [
             str(d) for d in report.diagnostics if d.severity is Severity.ERROR
@@ -213,27 +217,51 @@ class SupervisorShard:
     # ------------------------------------------------------------------
     # the supervised interfaces
     # ------------------------------------------------------------------
+    def heartbeat_batch(
+        self,
+        entry: Registration,
+        batch: Iterable[Any],
+        stamp: Optional[int] = None,
+    ) -> BatchResult:
+        """Apply one HEARTBEAT batch to ``entry``'s watchdog
+        (:meth:`SoftwareWatchdog.heartbeat_batch`); the applied count is
+        added to the bookkeeping once per batch."""
+        result = entry.watchdog.heartbeat_batch(batch, stamp)
+        entry.indications += result[0]
+        self.processed += result[0]
+        return result
+
+    def task_start_batch(
+        self, entry: Registration, batch: Iterable[Any]
+    ) -> BatchResult:
+        """Apply one FLOW batch (:meth:`SoftwareWatchdog.task_start_batch`)."""
+        result = entry.watchdog.task_start_batch(batch)
+        entry.task_starts += result[0]
+        self.processed += result[0]
+        return result
+
     def heartbeat(
         self,
         registration: str,
         runnable: str,
         time: int,
         task: Optional[str] = None,
-    ) -> None:
+    ) -> Optional[BatchResult]:
+        """One indication: a one-entry :meth:`heartbeat_batch` (``None``
+        for an unknown registration)."""
         entry = self.registrations.get(registration)
         if entry is None:
-            return
-        entry.indications += 1
-        self.processed += 1
-        entry.watchdog.heartbeat_indication(runnable, time, task)
+            return None
+        return self.heartbeat_batch(entry, ((runnable, time, task),))
 
-    def task_start(self, registration: str, task: str) -> None:
+    def task_start(
+        self, registration: str, task: str
+    ) -> Optional[BatchResult]:
+        """One task start: a one-entry :meth:`task_start_batch`."""
         entry = self.registrations.get(registration)
         if entry is None:
-            return
-        entry.task_starts += 1
-        self.processed += 1
-        entry.watchdog.notify_task_start(task)
+            return None
+        return self.task_start_batch(entry, ((task, None),))
 
     def tick(self, time: int) -> List[Tuple[str, RunnableError]]:
         """One check cycle over every registration of this shard."""

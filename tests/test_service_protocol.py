@@ -13,6 +13,7 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     T_ACK,
+    T_BYE,
     T_HEARTBEAT,
     T_HELLO,
     encode_frame,
@@ -115,6 +116,46 @@ class TestDecoder:
         decoder = FrameDecoder()
         with pytest.raises(FatalProtocolError):
             decoder.feed(struct.pack("!I", MAX_FRAME_BYTES + 1) + b"xxxx")
+
+    def test_frames_before_corrupt_header_are_returned(self):
+        """A corrupt length header loses no frame decoded before it: the
+        frames come back first, the fatal error is surfaced after them."""
+        decoder = FrameDecoder()
+        raw = (encode_frame(T_HELLO, client="a") + encode_frame(T_BYE)
+               + b"\xff\xff\xff\xff" + b"junk")
+        frames = decoder.feed(raw)
+        assert [f.type for f in frames] == [T_HELLO, T_BYE]
+        assert decoder.frames_decoded == 2
+        assert isinstance(decoder.error, FatalProtocolError)
+        with pytest.raises(FatalProtocolError):
+            decoder.feed(encode_frame(T_HELLO, client="b"))
+        assert decoder.frames_decoded == 2
+
+    def test_corrupt_header_with_nothing_before_it_raises_at_once(self):
+        decoder = FrameDecoder()
+        with pytest.raises(FatalProtocolError):
+            decoder.feed(b"\xff\xff\xff\xff" + b"junk")
+        assert isinstance(decoder.error, FatalProtocolError)
+
+    def test_consumed_bytes_trimmed_partial_tail_kept(self):
+        frames = [encode_frame(T_HEARTBEAT, name="p", batch=[["r", i, None]])
+                  for i in range(50)]
+        tail = encode_frame(T_HELLO, client="tail")
+        decoder = FrameDecoder()
+        items = decoder.feed(b"".join(frames) + tail[:7])
+        assert [f.data["batch"][0][1] for f in items] == list(range(50))
+        assert decoder.pending_bytes() == 7
+        (frame,) = decoder.feed(tail[7:])
+        assert frame.data == {"client": "tail"}
+        assert decoder.pending_bytes() == 0
+
+    def test_frame_is_a_slotted_value(self):
+        frame = Frame(T_HELLO, {"client": "a"})
+        assert frame == Frame(T_HELLO, {"client": "a"})
+        assert frame != Frame(T_HELLO, {"client": "b"})
+        assert Frame(T_ACK).data == {}
+        assert not hasattr(frame, "__dict__")
+        assert "client" in repr(frame)
 
     def test_custom_frame_limit(self):
         decoder = FrameDecoder(max_frame_bytes=8)

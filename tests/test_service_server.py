@@ -2,8 +2,11 @@
 
 import asyncio
 import json
+import os
 import socket
 import struct
+import subprocess
+import sys
 import time
 
 import pytest
@@ -252,6 +255,93 @@ class TestWireServer:
             await server.stop()
         asyncio.run(scenario())
 
+    def test_frames_before_corrupt_header_dispatched(self):
+        """HEARTBEAT and BYE sent in the same write as a corrupt length
+        header are still applied: the BYE deactivates the registration,
+        so its silence is not reported as a crash."""
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            await peer.send_raw(
+                encode_frame(T_HEARTBEAT, name="p",
+                             batch=[["sense", 1, "T"], ["act", 2, "T"]])
+                + encode_frame(T_BYE)
+                + b"\xff\xff\xff\xff" + b"junk")
+            ack = await peer.recv_frame()
+            assert ack.get("ok") and ack.get("re") == T_BYE
+            registration = server.fleet.registration("p")
+            assert registration.indications == 2
+            assert not registration.active
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_corrupt_header_after_frames_acks_error_and_hangs_up(self):
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            await peer.send_raw(
+                encode_frame(T_HEARTBEAT, name="p", batch=[["sense", 1, "T"]])
+                + struct.pack("!I", 1 << 30) + b"junk")
+            nack = await peer.recv_frame()
+            assert not nack.get("ok") and "corrupt" in nack.get("error")
+            chunk = await asyncio.wait_for(peer.reader.read(65536), timeout=5)
+            assert chunk == b""
+            assert server.fleet.registration("p").indications == 1
+            assert server.fleet.registration("p").active
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_heartbeat_task_must_be_str_or_null(self):
+        """A non-string task is a malformed entry: it is not applied
+        (an int would become a PFC stream key that a snapshot turns into
+        a string) and it is not counted as a handler error."""
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            await peer.send(T_HEARTBEAT, name="p", batch=[
+                ["sense", 1, 5], ["sense", 2, ["x"]], ["act", 3, {"t": 1}],
+                ["sense", 4, "T"], ["act", 5, None],
+            ])
+            await barrier(peer)
+            assert server.fleet.registration("p").indications == 2
+            assert server.telemetry.counter(
+                "service_malformed_frames_total").value == 3
+            assert server.handler_errors == 0
+            watchdog = server.fleet.registration("p").watchdog
+            assert all(isinstance(key, str)
+                       for key in watchdog.pfc.snapshot_state()["last"])
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_malformed_entries_skipped_rest_applied(self):
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            await peer.send(T_HEARTBEAT, name="p", batch=[
+                "abc", ["sense", 1], [1, 2, "T"], ["sense", "1", "T"],
+                ["sense", True, "T"], [["sense"], 1, "T"], {"a": 1, "b": 2, "c": 3},
+                None, 7, ["sense", 9, "T"],
+            ])
+            await barrier(peer)
+            assert server.fleet.registration("p").indications == 1
+            assert server.telemetry.counter(
+                "service_malformed_frames_total").value == 9
+            assert server.handler_errors == 0
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
 
 class TestDegradation:
     def test_disconnect_without_bye_becomes_missed_heartbeats(self):
@@ -343,15 +433,15 @@ class TestDegradation:
             peer = await _WireClient.connect(server)
             await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
             assert (await peer.recv_frame()).get("ok")
-            shard = server.fleet.shard_for("p")
-            original = shard.heartbeat
+            pfc = server.fleet.registration("p").watchdog.pfc
+            original = pfc.observe
 
-            def exploding(registration, runnable, time, task=None):
+            def exploding(runnable, time, task=None):
                 if runnable == "poison":
                     raise RuntimeError("boom")
-                original(registration, runnable, time, task)
+                return original(runnable, time, task)
 
-            shard.heartbeat = exploding
+            pfc.observe = exploding
             await peer.send(T_HEARTBEAT, name="p", batch=[
                 ["sense", 1, "T"], ["poison", 2, "T"], ["act", 3, "T"],
             ])
@@ -477,6 +567,22 @@ class TestHttp:
             await writer.wait_closed()
             await server.stop()
         asyncio.run(scenario())
+
+
+class TestStartup:
+    def test_lint_imported_with_the_server(self):
+        """wdlint is loaded when the daemon module is, so a fresh
+        daemon's first REGISTER does not pay for the import on the
+        event loop (and miss a check cycle)."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys; import repro.service.server; "
+                "print('repro.lint' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        assert out.stdout.strip() == "True"
 
 
 class TestTicker:

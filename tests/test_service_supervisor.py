@@ -1,5 +1,7 @@
 """The synchronous supervision core: shards, registration, fleet rollup."""
 
+import json
+
 import pytest
 
 from repro.core import FaultHypothesis, RunnableHypothesis
@@ -79,12 +81,11 @@ class TestRegistration:
         shard = SupervisorShard()
         registration = shard.register("p", hypothesis_to_dict(hyp))
         registration.deactivate()
-        assert not registration.watchdog.hbm.slot_active(
-            registration.watchdog.hbm.slot_of["sense"])
+        assert not registration.watchdog.hbm.activation_status("sense")
         registration.reactivate()
         hbm = registration.watchdog.hbm
-        assert hbm.slot_active(hbm.slot_of["sense"])
-        assert not hbm.slot_active(hbm.slot_of["act"])
+        assert hbm.activation_status("sense")
+        assert not hbm.activation_status("act")
 
 
 class TestSupervision:
@@ -114,6 +115,58 @@ class TestSupervision:
         shard.heartbeat("ghost", "sense", 1, "T")
         shard.task_start("ghost", "T")
         assert shard.processed == 0
+
+    def test_batch_counts_applied_entries_once(self):
+        shard = SupervisorShard()
+        entry = shard.register("p", hyp_dict())
+        applied, malformed, errors = shard.heartbeat_batch(entry, [
+            ["sense", 1, "T"], ["act", None, "T"], ["act", 3, 5],
+            ["sense", 4, None], ["ghost", 5, "T"],
+        ], stamp=2)
+        assert (applied, malformed, errors) == (4, 1, [])
+        assert entry.indications == 4
+        applied, malformed, errors = shard.task_start_batch(
+            entry, [["T", 6], ["T"], [7, 8]])
+        assert (applied, malformed, errors) == (1, 2, [])
+        assert entry.task_starts == 1
+        assert shard.processed == 5
+        assert entry.watchdog.hbm.unknown_heartbeats == 1
+
+    def test_one_entry_calls_share_the_batch_path(self):
+        shard = SupervisorShard()
+        entry = shard.register("p", hyp_dict())
+        assert shard.heartbeat("p", "sense", 1, "T") == (1, 0, [])
+        assert shard.heartbeat("p", "sense", 2, 5) == (0, 1, [])
+        assert shard.task_start("p", "T") == (1, 0, [])
+        assert (entry.indications, entry.task_starts) == (1, 1)
+        with pytest.raises(TypeError):
+            entry.watchdog.heartbeat_indication("sense", 3, 5)
+
+    def test_restored_shard_matches_never_died_after_task_stream(self):
+        """Stream keys survive the snapshot's JSON round trip only if
+        every task is a string; a non-string task is rejected, so the
+        restored shard keeps deciding exactly like the live one."""
+        def stream(shard, cycles):
+            entry = shard.registrations["p"]
+            for cycle in cycles:
+                shard.task_start("p", "T")
+                shard.heartbeat_batch(entry, [
+                    ["sense", cycle * 10, "T"], ["act", cycle * 10 + 1, "T"],
+                    ["sense", cycle * 10 + 2, 5], ["act", None, "T"],
+                ], stamp=cycle * 10 + 3)
+                shard.tick(cycle * 10 + 5)
+
+        live = SupervisorShard()
+        live.register("p", hyp_dict())
+        stream(live, range(1, 4))
+        restored = SupervisorShard()
+        restored.restore(json.loads(json.dumps(live.snapshot())))
+        stream(live, range(4, 8))
+        stream(restored, range(4, 8))
+        assert (json.dumps(restored.snapshot(), sort_keys=True)
+                == json.dumps(live.snapshot(), sort_keys=True))
+        assert (restored.registrations["p"].detections
+                == live.registrations["p"].detections)
 
     def test_deactivated_registration_stays_silent(self):
         shard = SupervisorShard()
