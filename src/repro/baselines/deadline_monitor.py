@@ -15,6 +15,7 @@ runnable — the blind spots the Software Watchdog addresses.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional
 
 from ..kernel.scheduler import Kernel
@@ -82,8 +83,8 @@ class DeadlineMonitor:
         return len(self.violation_times)
 
     def first_detection_after(self, time: int) -> Optional[int]:
-        """Campaign detector interface."""
-        for t in self.violation_times:
-            if t >= time:
-                return t
-        return None
+        """Campaign detector interface: earliest violation at or after
+        ``time`` (``violation_times`` is in simulation-time order)."""
+        times = self.violation_times
+        index = bisect_left(times, time)
+        return times[index] if index < len(times) else None

@@ -19,6 +19,7 @@ S12XF the paper's outlook targets, support windows): kicks arriving too
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional
 
 from ..kernel.runnable import Runnable
@@ -85,11 +86,12 @@ class HardwareWatchdog:
         return bool(self.expiry_times)
 
     def first_detection_after(self, time: int) -> Optional[int]:
-        """Campaign detector interface."""
-        for t in self.expiry_times + self.early_kick_times:
-            if t >= time:
-                return t
-        return None
+        """Campaign detector interface: earliest firing at or after
+        ``time``.  ``expiry_times`` holds every firing, early kicks
+        included, in simulation-time order."""
+        times = self.expiry_times
+        index = bisect_left(times, time)
+        return times[index] if index < len(times) else None
 
     # ------------------------------------------------------------------
     def _schedule_deadline(self) -> None:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..telemetry import DEFAULT_DURATION_BUCKETS, NULL_REGISTRY
 from .injector import ErrorInjector
 from .models import FaultModel, FaultTarget
-from .registry import FaultSpec, RunSpec, SystemSpec, execute_chunk, execute_chunk_timed
+from .registry import FaultSpec, RunSpec, SystemSpec, execute_chunk
 
 
 class DetectionRecorder:
@@ -239,9 +239,8 @@ class Campaign:
         self.warmup = warmup
         self.observation = observation
         self.transient_duration = transient_duration
-        # Campaign instruments.  With the null registry (the default) the
-        # timed dispatch path is never taken, so untelemetered campaigns
-        # run the historical code byte-for-byte.
+        # Campaign instruments.  Every run is timed; with the null
+        # registry (the default) the durations are simply not observed.
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self._tm_enabled = self.telemetry.enabled
         tm = self.telemetry
@@ -299,17 +298,15 @@ class Campaign:
             if specs is not None:
                 # Same code path a worker runs — the equivalence anchor.
                 for index, spec in enumerate(specs):
+                    runs, durations = execute_chunk([spec])
+                    result.runs.extend(runs)
                     if self._tm_enabled:
-                        runs, durations = execute_chunk_timed([spec])
-                        result.runs.extend(runs)
                         self._tm_record_runs(durations)
-                    else:
-                        result.runs.extend(execute_chunk([spec]))
                     if progress is not None:
                         progress(index + 1, total)
             else:
                 for index, factory in enumerate(factories):
-                    begin = perf_counter() if self._tm_enabled else 0.0
+                    begin = perf_counter()
                     result.runs.append(self._run_one(factory))
                     if self._tm_enabled:
                         self._tm_record_runs([perf_counter() - begin])
@@ -366,23 +363,19 @@ class Campaign:
         collected: List[Optional[List[RunResult]]] = [None] * len(chunks)
         done = 0
         timed = self._tm_enabled
-        worker_fn = execute_chunk_timed if timed else execute_chunk
         busy_seconds = 0.0
-        begin = perf_counter() if timed else 0.0
+        begin = perf_counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(worker_fn, chunk): index
+                pool.submit(execute_chunk, chunk): index
                 for index, chunk in enumerate(chunks)
             }
             for future in as_completed(futures):
                 index = futures[future]
-                outcome = future.result()
+                collected[index], durations = future.result()
                 if timed:
-                    collected[index], durations = outcome
                     busy_seconds += sum(durations)
                     self._tm_record_runs(durations)
-                else:
-                    collected[index] = outcome
                 done += len(collected[index])
                 if progress is not None:
                     progress(done, total)

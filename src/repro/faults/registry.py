@@ -192,23 +192,15 @@ def execute_run(spec: RunSpec):
 
 
 def execute_chunk(specs: Sequence[RunSpec]):
-    """Run a batch of specs in one worker call.
+    """Run a batch of specs in one worker call; returns ``(results,
+    durations)``, with ``durations[i]`` the wall-clock seconds of
+    ``specs[i]``.
 
     Chunking amortizes pickling and interpreter scheduling over many
     runs; a campaign of hundreds of 10 ms-scale simulations would
     otherwise spend a visible fraction of its wall clock on dispatch.
-    """
-    return [execute_run(spec) for spec in specs]
-
-
-def execute_chunk_timed(specs: Sequence[RunSpec]):
-    """Like :func:`execute_chunk`, plus per-run wall-clock seconds.
-
-    Returns ``(results, durations)`` with ``durations[i]`` the wall time
-    of ``specs[i]``.  Dispatched by telemetry-enabled campaigns only —
-    the untimed path stays byte-identical for everyone else — and the
-    timing wraps :func:`execute_run` from the outside, so the run itself
-    is the same code either way.
+    The timing wraps :func:`execute_run` from the outside, so the run
+    itself is the same code whether or not anyone reads the durations.
     """
     results = []
     durations = []

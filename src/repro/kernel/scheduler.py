@@ -372,8 +372,9 @@ class Kernel:
                 self._ensure_segment(task)
             return True
         if consumed == 0:
-            # end_time reached mid-segment; no due events remain at `now`.
-            return False
+            # end_time reached mid-segment -- unless a segment callback
+            # scheduled an event for `now`, which the next step fires.
+            return next_time == self.clock.now
         return True
 
     # ------------------------------------------------------------------

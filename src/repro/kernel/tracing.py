@@ -11,8 +11,9 @@ test-suite use traces as ground truth for coverage and latency metrics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from collections import deque
+from itertools import islice
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
 
 
 class TraceKind(enum.Enum):
@@ -42,14 +43,44 @@ class TraceKind(enum.Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    """One timestamped kernel occurrence."""
+    """One timestamped kernel occurrence.
 
-    time: int
-    kind: TraceKind
-    subject: str
-    info: Dict[str, Any] = field(default_factory=dict)
+    A plain ``__slots__`` class: the kernel builds thousands of records
+    per simulated second, and a frozen dataclass pays one
+    ``object.__setattr__`` per field.  Records are not modified after
+    construction.
+    """
+
+    __slots__ = ("time", "kind", "subject", "info")
+
+    def __init__(
+        self,
+        time: int,
+        kind: TraceKind,
+        subject: str,
+        info: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        self.time = time
+        self.kind = kind
+        self.subject = subject
+        self.info = {} if info is None else info
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.time, self.kind, self.subject, self.info) == (
+            other.time, other.kind, other.subject, other.info
+        )
+
+    #: Unhashable, like the mutable ``info`` dict it carries.
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceRecord(time={self.time!r}, kind={self.kind!r}, "
+            f"subject={self.subject!r}, info={self.info!r})"
+        )
 
     def __str__(self) -> str:
         extra = " ".join(f"{k}={v}" for k, v in self.info.items())
@@ -57,27 +88,40 @@ class TraceRecord:
 
 
 class Trace:
-    """Append-only record of a simulation run with query helpers."""
+    """Append-only record of a simulation run with query helpers.
+
+    With a ``capacity`` the trace is a ring: once full, each new record
+    evicts the oldest one and bumps :attr:`dropped`.
+    """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        self._records: List[TraceRecord] = []
-        self._capacity = capacity
+        self._records: Deque[TraceRecord] = deque(maxlen=capacity)
+        self._append = (
+            self._records.append if capacity is None else self._append_ring
+        )
         self._listeners: List[Callable[[TraceRecord], None]] = []
         self.dropped = 0
 
     # ------------------------------------------------------------------
     def emit(self, record: TraceRecord) -> None:
         """Append a record, honouring the optional ring capacity."""
-        if self._capacity is not None and len(self._records) >= self._capacity:
-            self._records.pop(0)
-            self.dropped += 1
-        self._records.append(record)
+        self._append(record)
         for listener in self._listeners:
             listener(record)
 
     def record(self, time: int, kind: TraceKind, subject: str, **info: Any) -> None:
-        """Convenience constructor + emit."""
-        self.emit(TraceRecord(time=time, kind=kind, subject=subject, info=info))
+        """Build a record and emit it (the kernel's per-occurrence path,
+        so :meth:`emit` is inlined)."""
+        record = TraceRecord(time, kind, subject, info)
+        self._append(record)
+        for listener in self._listeners:
+            listener(record)
+
+    def _append_ring(self, record: TraceRecord) -> None:
+        records = self._records
+        if len(records) == records.maxlen:
+            self.dropped += 1
+        records.append(record)
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Register a live listener invoked for every new record."""
@@ -150,5 +194,7 @@ class Trace:
 
     def dump(self, limit: Optional[int] = None) -> str:
         """Human-readable rendering (for debugging and examples)."""
-        records = self._records if limit is None else self._records[-limit:]
+        records = self._records
+        if limit is not None:
+            records = islice(records, max(len(records) - limit, 0), None)
         return "\n".join(str(rec) for rec in records)

@@ -72,6 +72,32 @@ class TestBasicOperation:
         monitor.monitor("T", budget=ms(3))
         kernel.run_until(ms(60))
         assert monitor.first_detection_after(0) is not None
+        times = monitor.violation_times
+        assert len(times) >= 2
+        for query in (0, times[0], times[0] + 1, times[-1], times[-1] + 1):
+            later = [t for t in times if t >= query]
+            assert monitor.first_detection_after(query) == (
+                later[0] if later else None)
+
+    def test_one_budget_check_per_activation(self, kernel, alarms):
+        """The monitor arms one budget-expiry event per activation, not
+        one probe per ``probe_period``."""
+        periodic_task(kernel, alarms, "T", 5, ms(10), [ms(4)])
+        monitor = ExecutionTimeMonitor(kernel, probe_period=ms(1))
+        monitor.monitor("T", budget=ms(5))
+        labels = []
+        schedule = kernel.queue.schedule
+
+        def counting_schedule(when, callback, label="", **kwargs):
+            labels.append(label)
+            return schedule(when, callback, label, **kwargs)
+
+        kernel.queue.schedule = counting_schedule
+        kernel.run_until(seconds(1))
+        activations = kernel.tasks["T"].activation_count
+        assert activations == 100
+        assert labels.count(f"etm:{monitor.name}") == activations
+        assert monitor.violation_count == 0
 
 
 class TestGranularityBlindSpot:

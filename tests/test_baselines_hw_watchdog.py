@@ -64,6 +64,24 @@ class TestWindowedMode:
         assert wd.early_kick_times == []
         assert not wd.expired
 
+    def test_detector_interface_early_kick_then_timeouts(self, kernel):
+        wd = HardwareWatchdog(kernel, timeout=ms(50), window_open=ms(20))
+        wd.start()
+        kernel.queue.schedule(ms(30), wd.kick)  # legal
+        kernel.queue.schedule(ms(35), wd.kick)  # early; then no more kicks
+        kernel.run_until(ms(150))
+        assert wd.early_kick_times == [ms(35)]
+        assert wd.expiry_times == [ms(35), ms(85), ms(135)]
+        firings = wd.expiry_times + wd.early_kick_times
+        for query in range(0, ms(150), 250):
+            later = [t for t in firings if t >= query]
+            assert wd.first_detection_after(query) == (
+                min(later) if later else None
+            ), query
+        assert wd.first_detection_after(ms(35)) == ms(35)
+        assert wd.first_detection_after(ms(35) + 1) == ms(85)
+        assert wd.first_detection_after(ms(135) + 1) is None
+
 
 class TestKickArrangements:
     def test_kick_task(self, kernel, alarms):

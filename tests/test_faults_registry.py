@@ -85,6 +85,8 @@ class TestExecuteRun:
             observation=ms(500),
         )
         single = execute_run(spec)
-        chunked = execute_chunk([spec, spec])
+        chunked, durations = execute_chunk([spec, spec])
         assert chunked == [single, single]
+        assert len(durations) == 2
+        assert all(seconds > 0.0 for seconds in durations)
         assert single.detected_by("SoftwareWatchdog")

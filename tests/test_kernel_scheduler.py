@@ -97,6 +97,25 @@ class TestBasicExecution:
         kernel.run_until(10)
         assert fired == ["s", "e"]
 
+    def test_event_scheduled_now_by_segment_start_fires(self, kernel):
+        """A segment's on_start may schedule an event for the current
+        instant: it fires, and the run goes on to the horizon."""
+        fired = []
+
+        def on_start():
+            kernel.queue.schedule(
+                kernel.clock.now, lambda: fired.append(("now", kernel.clock.now)))
+
+        def body(task):
+            yield Segment(10, on_start=on_start)
+
+        kernel.add_task(Task("T", 1, body, autostart=True))
+        kernel.queue.schedule(5, lambda: fired.append(("at5", kernel.clock.now)))
+        kernel.run_until(100)
+        assert fired == [("now", 0), ("at5", 5)]
+        assert kernel.task_cpu_ticks["T"] == 10
+        assert kernel.task_state("T") is TaskState.SUSPENDED
+
 
 class TestPreemption:
     def test_higher_priority_preempts(self, kernel, alarms):
