@@ -10,9 +10,11 @@ decoder in the daemon's own read size, so the decoder sees the chunk
 boundaries it sees in production.
 
 * **decode_us_per_frame** — :meth:`FrameDecoder.feed` over the stream;
-* **dispatch_apply_us_per_frame** — ``SupervisionServer._dispatch`` of
-  every decoded frame: registration lookup, validation, and the batch
-  apply to HBM/PFC counters.
+* **dispatch_apply_us_per_frame** — ``SupervisionServer._dispatch_read``
+  of every read's decoded frames: registration lookup, validation, and
+  the batch apply to HBM/PFC counters;
+* **pipeline_us_per_frame** — both layers as the daemon runs them: feed
+  one read-size chunk, then dispatch its frames, chunk after chunk.
 
 Each run appends the median, p10 and p90 over its rounds to
 ``BENCH_service_frame.json`` at the repository root
@@ -69,33 +71,42 @@ def measure():
     for name in names:
         server.fleet.register(name, hypothesis)
     conn = _Connection(writer=None)
+    dispatch_read = server._dispatch_read
     chunks, frame_count = flood_chunks(names)
-    decode_us, apply_us = [], []
+    decode_us, apply_us, pipeline_us = [], [], []
     for _ in range(ROUNDS):
         decoder = FrameDecoder()
-        frames = []
+        reads = []
         begin = time.perf_counter()
         for chunk in chunks:
-            frames.extend(decoder.feed(chunk))
+            reads.append(decoder.feed(chunk))
         decoded = time.perf_counter()
-        for frame in frames:
-            server._dispatch(conn, frame)
+        for items in reads:
+            dispatch_read(conn, items)
         applied = time.perf_counter()
-        assert len(frames) == frame_count
+        assert sum(map(len, reads)) == frame_count
+        decoder = FrameDecoder()
+        for chunk in chunks:
+            dispatch_read(conn, decoder.feed(chunk))
+        piped = time.perf_counter()
+        assert decoder.frames_decoded == frame_count
         decode_us.append((decoded - begin) / frame_count * 1e6)
         apply_us.append((applied - decoded) / frame_count * 1e6)
+        pipeline_us.append((piped - applied) / frame_count * 1e6)
     indications = sum(r.indications for r in server.fleet.registrations.values())
     return {
         "frame_count": frame_count,
         "indications": indications,
         "decode_us_per_frame": decode_us,
         "dispatch_apply_us_per_frame": apply_us,
+        "pipeline_us_per_frame": pipeline_us,
     }
 
 
 def test_bench_service_frame(benchmark):
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
-    expected = ROUNDS * result["frame_count"] * INDICATIONS_PER_FRAME
+    # Every round applies the stream twice: split, then pipelined.
+    expected = 2 * ROUNDS * result["frame_count"] * INDICATIONS_PER_FRAME
     assert result["indications"] == expected, (
         f"{result['indications']} of {expected} indications applied")
     entry = record(
@@ -108,6 +119,7 @@ def test_bench_service_frame(benchmark):
                 d + a for d, a in zip(result["decode_us_per_frame"],
                                       result["dispatch_apply_us_per_frame"])
             ],
+            "pipeline_us_per_frame": result["pipeline_us_per_frame"],
         },
         registrations=REGISTRATIONS,
         indications_per_frame=INDICATIONS_PER_FRAME,
@@ -116,5 +128,6 @@ def test_bench_service_frame(benchmark):
     metrics = entry["metrics"]
     print(f"\nper-frame cost ({INDICATIONS_PER_FRAME} indications): decode "
           f"{metrics['decode_us_per_frame']['median']:.2f} µs, dispatch+apply "
-          f"{metrics['dispatch_apply_us_per_frame']['median']:.2f} µs "
+          f"{metrics['dispatch_apply_us_per_frame']['median']:.2f} µs, "
+          f"pipelined {metrics['pipeline_us_per_frame']['median']:.2f} µs "
           f"(median of {entry['rounds']} rounds)")

@@ -4,9 +4,10 @@
 the time monitoring of tasks, but the granularity of fault detection on
 the layer of tasks is not fine enough for runnables" (§2).
 
-The monitor observes the kernel trace live: every ``TASK_ACTIVATE`` of a
-monitored task arms a deadline; the matching ``TASK_TERMINATE`` disarms
-it.  A deadline that fires before termination is a violation.  What this
+The monitor hooks the kernel's activation and termination of each
+monitored task (``Hooks.task_activated`` / ``task_terminated``): every
+activation arms a deadline; the matching termination disarms it.  A
+deadline that fires before termination is a violation.  What this
 catches: a hung or overrunning *task*.  What it structurally cannot
 catch: a single skipped runnable inside a task that still terminates on
 time, a wrong execution order, or an arrival-rate fault of an individual
@@ -19,7 +20,7 @@ from bisect import bisect_left
 from typing import Dict, List, Optional
 
 from ..kernel.scheduler import Kernel
-from ..kernel.tracing import TraceKind, TraceRecord
+from ..kernel.tracing import TraceKind
 
 
 class DeadlineMonitor:
@@ -33,24 +34,19 @@ class DeadlineMonitor:
         self.violation_times: List[int] = []
         self.violations_by_task: Dict[str, int] = {}
         self._armed: Dict[str, object] = {}
-        kernel.trace.subscribe(self._on_record)
 
     # ------------------------------------------------------------------
     def monitor(self, task: str, deadline: int) -> None:
         """Supervise a task with the given relative deadline."""
         if deadline <= 0:
             raise ValueError("deadline must be > 0")
+        if task not in self.deadlines:
+            hooks = self.kernel.hooks
+            hooks.task_activated.setdefault(task, []).append(self._arm)
+            hooks.task_terminated.setdefault(task, []).append(self._disarm)
         self.deadlines[task] = deadline
 
     # ------------------------------------------------------------------
-    def _on_record(self, record: TraceRecord) -> None:
-        if record.subject not in self.deadlines:
-            return
-        if record.kind is TraceKind.TASK_ACTIVATE:
-            self._arm(record.subject)
-        elif record.kind is TraceKind.TASK_TERMINATE:
-            self._disarm(record.subject)
-
     def _arm(self, task: str) -> None:
         if task in self._armed:
             return  # already supervising the outstanding activation

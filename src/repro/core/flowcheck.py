@@ -41,7 +41,9 @@ def stream_key(
     checker (:meth:`ProgramFlowCheckingUnit.observe`) and table mining
     (:meth:`FlowTable.mine_from_trace`) MUST use this one function: a
     table mined with a different stream keying than the checker replays
-    against can flag the very trace it was mined from.
+    against can flag the very trace it was mined from.  The one copy,
+    inlined in :meth:`SoftwareWatchdog.heartbeat_batch` for speed, is
+    held equal to this function by the apply differential test.
     """
     if task:
         return task

@@ -34,7 +34,7 @@ from ..telemetry import (
     TelemetryEvent,
 )
 from .counters import CounterHistory
-from .flowcheck import FlowTable, ProgramFlowCheckingUnit
+from .flowcheck import _GLOBAL_STREAM, FlowTable, ProgramFlowCheckingUnit
 from .heartbeat import HeartbeatMonitoringUnit, _TM_SYNC_INTERVAL
 from .hypothesis import FaultHypothesis
 from .reports import ErrorType, MonitorState, RunnableError, TaskFaultEvent
@@ -194,45 +194,102 @@ class SoftwareWatchdog:
         deliberately deactivated runnable (e.g. of a terminated
         application) must neither raise PROGRAM_FLOW errors nor perturb
         its task's stream predecessor.
+
+        The common entry (a known, active runnable that flow checking
+        either ignores or sees take an allowed transition) is applied
+        inline: the PFC predecessor update and the HBM counter bumps
+        without a method call.  Its tally increments are added to the
+        units at the end of the batch, or earlier, before the next entry
+        that calls into a unit, so a listener always sees them current.
+        Every other entry (an unknown or deactivated runnable, a flow
+        violation, eager arrival detection) goes through
+        :meth:`ProgramFlowCheckingUnit.observe` and
+        :meth:`HeartbeatMonitoringUnit.heartbeat_slot`, which build every
+        error.
         """
         hbm = self.hbm
+        pfc = self.pfc
         slot_of = hbm.slot_of
-        active = hbm.counters.active
-        observe = self.pfc.observe
-        heartbeat_slot = hbm.heartbeat_slot
-        applied = malformed = 0
+        counters = hbm.counters
+        active = counters.active
+        ac = counters.ac
+        arc = counters.arc
+        table = pfc.table
+        monitored = table._monitored
+        successors = table._successors
+        attribution = pfc.task_attribution
+        last = pfc._last
+        inline = not hbm.eager_arrival_detection
+        # ``applied`` counts the entries applied through the units;
+        # ``beats`` and ``observations`` the inline ones whose tallies
+        # the units have not been given yet, ``done`` those they have.
+        applied = malformed = beats = observations = done = 0
         errors: List[Exception] = []
-        for entry in batch:
-            # Unpacking is the shape check: a JSON value that is not a
-            # three-element array either fails here or leaves a str
-            # (a character or an object key) where the int time goes.
-            try:
-                runnable, time, task = entry
-            except (TypeError, ValueError):
-                malformed += 1
-                continue
-            if time is None:
-                time = stamp
-            if (type(runnable) is not str or type(time) is not int
-                    or (task is not None and type(task) is not str)):
-                malformed += 1
-                continue
-            try:
+        try:
+            for entry in batch:
+                # Unpacking is the shape check: a JSON value that is not
+                # a three-element array either fails here or leaves a
+                # str (a character or an object key) where the int time
+                # goes.
+                try:
+                    runnable, time, task = entry
+                except (TypeError, ValueError):
+                    malformed += 1
+                    continue
+                if time is None:
+                    time = stamp
+                if (type(runnable) is not str or type(time) is not int
+                        or (task is not None and type(task) is not str)):
+                    malformed += 1
+                    continue
                 slot = slot_of.get(runnable)
-                if slot is None:
-                    # Corrupted identifier: count it, and let the PFC
-                    # unit see it (unknown runnables are transparent to
-                    # flow checking).
-                    hbm.unknown_heartbeats += 1
-                    observe(runnable, time, task)
-                elif active[slot]:
-                    observe(runnable, time, task)
-                    heartbeat_slot(slot, time, task)
-            except Exception as exc:
-                errors.append(exc)
-                continue
-            applied += 1
-        return applied, malformed, errors
+                if inline and slot is not None and active[slot]:
+                    if runnable not in monitored:
+                        beats += 1
+                        ac[slot] += 1
+                        arc[slot] += 1
+                        continue
+                    # stream_key(), inlined.
+                    stream = task or attribution.get(runnable) or _GLOBAL_STREAM
+                    if runnable in successors.get(last.get(stream), ()):
+                        last[stream] = runnable
+                        observations += 1
+                        beats += 1
+                        ac[slot] += 1
+                        arc[slot] += 1
+                        continue
+                if beats:
+                    hbm.heartbeat_count += beats
+                    done += beats
+                    beats = 0
+                    if observations:
+                        pfc.observation_count += observations
+                        pfc.lookup_operations += observations
+                        observations = 0
+                try:
+                    if slot is None:
+                        # Corrupted identifier: count it, and let the PFC
+                        # unit see it (unknown runnables are transparent
+                        # to flow checking).
+                        hbm.unknown_heartbeats += 1
+                        pfc.observe(runnable, time, task)
+                    elif active[slot]:
+                        pfc.observe(runnable, time, task)
+                        hbm.heartbeat_slot(slot, time, task)
+                except Exception as exc:
+                    errors.append(exc)
+                    continue
+                finally:
+                    # A listener may have restored the PFC state.
+                    last = pfc._last
+                applied += 1
+        finally:
+            if beats:
+                hbm.heartbeat_count += beats
+                if observations:
+                    pfc.observation_count += observations
+                    pfc.lookup_operations += observations
+        return applied + done + beats, malformed, errors
 
     def add_fault_listener(self, listener: FaultListener) -> None:
         """Interface 2: subscribe to detected faults (the FMF hook)."""

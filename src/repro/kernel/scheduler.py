@@ -51,6 +51,12 @@ class Hooks:
         self.pre_task: List[Callable[["Kernel", Task], None]] = []
         self.post_task: List[Callable[["Kernel", Task], None]] = []
         self.error: List[Callable[["Kernel", StatusType, str], None]] = []
+        #: Task name → callables given the name right after an activation
+        #: (``task_activated``) or a termination (``task_terminated``) of
+        #: that task is traced.  Keyed by task, so a monitor of a few
+        #: tasks is not called for every other kernel occurrence.
+        self.task_activated: Dict[str, List[Callable[[str], None]]] = {}
+        self.task_terminated: Dict[str, List[Callable[[str], None]]] = {}
 
 
 class Resource:
@@ -177,6 +183,10 @@ class Kernel:
         task.pending_activations += 1
         task.activation_count += 1
         self.trace.record(self.clock.now, TraceKind.TASK_ACTIVATE, name)
+        watchers = self.hooks.task_activated.get(name)
+        if watchers:
+            for hook in watchers:
+                hook(name)
         if task.state is TaskState.SUSPENDED:
             self._make_ready(task)
         return StatusType.E_OK
@@ -289,6 +299,10 @@ class Kernel:
         self.trace.record(
             self.clock.now, TraceKind.TASK_TERMINATE, name, forced=True
         )
+        watchers = self.hooks.task_terminated.get(name)
+        if watchers:
+            for hook in watchers:
+                hook(name)
         return StatusType.E_OK
 
     def schedule_at(
@@ -508,6 +522,10 @@ class Kernel:
         for hook in self.hooks.post_task:
             hook(self, task)
         self.trace.record(self.clock.now, TraceKind.TASK_TERMINATE, task.name)
+        watchers = self.hooks.task_terminated.get(task.name)
+        if watchers:
+            for hook in watchers:
+                hook(task.name)
         # Release any resources the task still holds (OSEK would raise
         # E_OS_RESOURCE; we release and report, which keeps the simulated
         # system alive for fault-injection experiments).

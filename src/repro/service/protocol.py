@@ -156,7 +156,11 @@ def encode_frame(type: str, **data: Any) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-_json_decode = json.JSONDecoder().decode
+_json_decoder = json.JSONDecoder()
+_json_decode = _json_decoder.decode
+#: The decoder's scanner (C when available): one JSON value from a
+#: start index, returned with the index just past it.
+_scan_once = _json_decoder.scan_once
 
 
 def _decode_body(body: bytes) -> Frame:
@@ -167,7 +171,8 @@ def _decode_body(body: bytes) -> Frame:
     """
     try:
         payload = _json_decode(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's limit.
         raise ProtocolError(f"undecodable frame payload: {exc}") from None
     if type(payload) is not dict:
         raise ProtocolError(
@@ -177,7 +182,7 @@ def _decode_body(body: bytes) -> Frame:
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported protocol version: {version!r}")
     frame_type = payload.pop("type", None)
-    if frame_type not in _KNOWN_TYPES:
+    if type(frame_type) is not str or frame_type not in _KNOWN_TYPES:
         raise ProtocolError(f"unknown frame type: {frame_type!r}")
     return Frame(frame_type, payload, version)
 
@@ -211,14 +216,18 @@ class FrameDecoder:
         """Consume ``chunk``; return every complete frame it finished.
 
         Walks an offset through the buffer and trims the consumed bytes
-        once per call, not once per frame."""
+        once per call, not once per frame.  A payload that is malformed
+        in any way, nesting deeper than the interpreter's recursion
+        limit included, is one :class:`ProtocolError` in the list."""
         if self.error is not None:
             raise self.error
         buffer = self._buffer
         buffer.extend(chunk)
         size = len(buffer)
         items: List[Union[Frame, ProtocolError]] = []
-        offset = 0
+        scan_once = _scan_once
+        known_types = _KNOWN_TYPES
+        offset = decoded = 0
         while size - offset >= HEADER_BYTES:
             (length,) = _unpack_header(buffer, offset)
             if length > self._max:
@@ -234,14 +243,36 @@ class FrameDecoder:
             if end > size:
                 break
             offset = end
+            # Fast path: scan the payload directly and accept only a
+            # well-formed frame.  Anything else, including whitespace
+            # around the object, is decoded again by _decode_body, so a
+            # rejection carries the one error message it defines.
+            frame = None
             try:
-                frame = _decode_body(buffer[start:end])
-            except ProtocolError as exc:
-                self.frames_rejected += 1
-                items.append(exc)
+                text = buffer[start:end].decode("utf-8")
+                payload, stop = scan_once(text, 0)
+            except (ValueError, StopIteration, RecursionError):
+                # UnicodeDecodeError and JSONDecodeError are ValueErrors;
+                # StopIteration: no JSON value at index 0.
+                pass
             else:
-                self.frames_decoded += 1
-                items.append(frame)
+                if stop == len(text) and type(payload) is dict:
+                    version = payload.pop("v", None)
+                    frame_type = payload.pop("type", None)
+                    if (version == PROTOCOL_VERSION
+                            and type(frame_type) is str
+                            and frame_type in known_types):
+                        frame = Frame(frame_type, payload, version)
+            if frame is None:
+                try:
+                    frame = _decode_body(buffer[start:end])
+                except ProtocolError as exc:
+                    self.frames_rejected += 1
+                    items.append(exc)
+                    continue
+            decoded += 1
+            items.append(frame)
+        self.frames_decoded += decoded
         if offset:
             del buffer[:offset]
         return items

@@ -569,16 +569,7 @@ class SupervisionServer:
                     items = decoder.feed(chunk)
                 except FatalProtocolError:
                     items = ()
-                for item in items:
-                    if isinstance(item, ProtocolError):
-                        self._tm_malformed.inc()
-                        self._send(
-                            conn, T_ACK, ok=False, re=None, error=str(item)
-                        )
-                        continue
-                    self._dispatch(conn, item)
-                    if conn.said_bye:
-                        break
+                self._dispatch_read(conn, items)
                 if conn.said_bye:
                     break
                 if decoder.error is not None:
@@ -602,17 +593,56 @@ class SupervisionServer:
         finally:
             await self._close_connection(conn, graceful=conn.said_bye)
 
-    def _dispatch(self, conn: _Connection, frame: Frame) -> None:
-        counter = self._tm_frames.get(frame.type)
-        if counter is None:
-            counter = self.telemetry.counter(
-                "service_frames_total",
-                "Decoded protocol frames by type", type=frame.type)
-            self._tm_frames[frame.type] = counter
-        counter.inc()
-        if frame.type == T_HEARTBEAT:
-            self._handle_indications(conn, frame, kind="hb")
-        elif frame.type == T_HELLO:
+    def _dispatch_read(self, conn: _Connection, items: List[Any]) -> None:
+        """Dispatch, in order, the frames and rejections decoded from one
+        read (up to a BYE).
+
+        Every frame of a read arrived in the same ``recv`` and none
+        yields to the event loop, so they share one server-clock stamp
+        (the time of a ``null``-time indication), and the frame and
+        indication counters are bumped once per read: ``/metrics`` is
+        served between reads and cannot tell the difference.  HEARTBEAT
+        frames, the hot path, are applied here; every other frame goes
+        through :meth:`_dispatch`."""
+        stamp = self.now()
+        counts: Dict[str, int] = {}
+        applied = 0
+        try:
+            for item in items:
+                if isinstance(item, ProtocolError):
+                    self._tm_malformed.inc()
+                    self._send(
+                        conn, T_ACK, ok=False, re=None, error=str(item)
+                    )
+                    continue
+                frame_type = item.type
+                count = counts.get(frame_type)
+                if count is None:
+                    count = 0
+                    if frame_type not in self._tm_frames:
+                        # Created at first sight: /metrics lists the
+                        # counter families in creation order.
+                        self._tm_frames[frame_type] = self.telemetry.counter(
+                            "service_frames_total",
+                            "Decoded protocol frames by type", type=frame_type)
+                counts[frame_type] = count + 1
+                if frame_type == T_HEARTBEAT:
+                    applied += self._handle_indications(
+                        conn, item, "hb", stamp)
+                    continue
+                applied += self._dispatch(conn, item, stamp)
+                if conn.said_bye:
+                    break
+        finally:
+            for frame_type, count in counts.items():
+                self._tm_frames[frame_type].inc(count)
+            if applied:
+                self._tm_indications.inc(applied)
+
+    def _dispatch(self, conn: _Connection, frame: Frame, stamp: int) -> int:
+        """Handle one frame other than HEARTBEAT; returns the
+        indications it applied."""
+        if frame.type == T_HELLO:
             conn.client_name = str(frame.get("client", "") or f"conn{conn.id}")
             # watch=true subscribes this connection to every DETECTION
             # (monitoring clients); default is own-registrations only.
@@ -621,7 +651,7 @@ class SupervisionServer:
         elif frame.type == T_REGISTER:
             self._handle_register(conn, frame)
         elif frame.type == T_FLOW:
-            self._handle_indications(conn, frame, kind="flow")
+            return self._handle_indications(conn, frame, "flow", stamp)
         elif frame.type == T_BYE:
             for name in sorted(conn.registrations):
                 self.fleet.deregister(name)
@@ -633,6 +663,7 @@ class SupervisionServer:
                 conn, T_ACK, ok=False, re=frame.type,
                 error=f"clients may not send {frame.type} frames",
             )
+        return 0
 
     def _handle_register(self, conn: _Connection, frame: Frame) -> None:
         name = frame.get("name")
@@ -700,36 +731,37 @@ class SupervisionServer:
         )
 
     def _handle_indications(
-        self, conn: _Connection, frame: Frame, *, kind: str
-    ) -> None:
+        self, conn: _Connection, frame: Frame, kind: str, stamp: int
+    ) -> int:
+        """Apply one HEARTBEAT (``kind="hb"``) or FLOW batch; returns
+        the indications applied (the caller counts them)."""
         data = frame.data
         name = data.get("name")
         shard = self.fleet.shard_for(name) if isinstance(name, str) else None
         if shard is None:
             self._tm_unknown.inc()
-            return
+            return 0
         batch = data.get("batch")
         if not isinstance(batch, list):
             self._tm_malformed.inc()
             self._send(conn, T_ACK, ok=False, re=frame.type, name=name,
                        error="indication frames need a 'batch' list")
-            return
+            return 0
         # The whole batch is validated and applied in one pass; a
         # malformed entry is skipped and one poisoned indication does
         # not abort the rest of its batch or the connection.
         entry = shard.registrations[name]
         if kind == "hb":
             applied, malformed, errors = shard.heartbeat_batch(
-                entry, batch, self.now())
+                entry, batch, stamp)
         else:
             applied, malformed, errors = shard.task_start_batch(entry, batch)
-        if applied:
-            self._tm_indications.inc(applied)
         if malformed:
             self._tm_malformed.inc(malformed)
         if errors:
             self.handler_errors += len(errors)
             self._tm_handler_errors.inc(len(errors))
+        return applied
 
     # ------------------------------------------------------------------
     # push channels (server → client frames)

@@ -70,6 +70,21 @@ class TestBasicOperation:
         kernel.run_until(ms(100))
         assert monitor.violation_count == 0
 
+    def test_monitor_hooks_only_its_tasks(self, kernel, alarms):
+        """The monitor is called for its own tasks' activations and
+        terminations, not for every trace record."""
+        periodic_task(kernel, alarms, "T", 5, ms(10), [ms(2)])
+        periodic_task(kernel, alarms, "U", 4, ms(10), [ms(2)])
+        monitor = DeadlineMonitor(kernel)
+        monitor.monitor("T", deadline=ms(5))
+        monitor.monitor("T", deadline=ms(3))  # a new deadline, same hooks
+        assert not kernel.trace._listeners
+        assert set(kernel.hooks.task_activated) == {"T"}
+        assert len(kernel.hooks.task_activated["T"]) == 1
+        assert len(kernel.hooks.task_terminated["T"]) == 1
+        kernel.run_until(ms(100))
+        assert monitor.violation_count == 0
+
     def test_detector_interface(self, kernel, alarms):
         periodic_task(kernel, alarms, "T", 5, ms(10), [ms(7)])
         monitor = DeadlineMonitor(kernel)

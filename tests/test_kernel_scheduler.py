@@ -367,6 +367,36 @@ class TestForceTerminate:
         assert low.state is not None  # smoke: no crash
 
 
+class TestTaskHooks:
+    def test_activation_and_termination_hooks_see_only_their_task(self, kernel):
+        simple_task(kernel, "A", 1, 10)
+        simple_task(kernel, "B", 2, 10)
+        seen = []
+
+        def note(kind):
+            # The hook runs once the occurrence is traced.
+            return lambda name: seen.append(
+                (kind, name, kernel.clock.now, kernel.trace[-1].kind))
+
+        kernel.hooks.task_activated["A"] = [note("activate")]
+        kernel.hooks.task_terminated["A"] = [note("terminate")]
+        kernel.activate_task("A")
+        kernel.activate_task("B")
+        kernel.run_until(100)
+        assert seen == [
+            ("activate", "A", 0, TraceKind.TASK_ACTIVATE),
+            ("terminate", "A", 20, TraceKind.TASK_TERMINATE),
+        ]
+
+    def test_forced_termination_runs_the_termination_hook(self, kernel):
+        simple_task(kernel, "A", 1, 10)
+        kernel.start()
+        seen = []
+        kernel.hooks.task_terminated["A"] = [seen.append]
+        assert kernel.force_terminate("A") is StatusType.E_OK
+        assert seen == ["A"]
+
+
 class TestShutdownAndReset:
     def test_shutdown_stops_dispatching(self, kernel, alarms):
         simple_task(kernel, "A", 1, ms(1))

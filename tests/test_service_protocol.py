@@ -162,7 +162,135 @@ class TestDecoder:
         with pytest.raises(FatalProtocolError):
             decoder.feed(encode_frame(T_HELLO, client="long-name-here"))
 
+    def test_deeply_nested_payload_is_one_malformed_frame(self):
+        """Nesting past the interpreter's recursion limit rejects the one
+        frame; the frames around it in the same chunk are returned and
+        the buffer is trimmed."""
+        depth = 100_000
+        body = (b'{"v":1,"type":"HELLO","x":' + b"[" * depth + b"]" * depth
+                + b"}")
+        decoder = FrameDecoder()
+        items = decoder.feed(encode_frame(T_HELLO, client="before")
+                             + self._frame_with_body(body)
+                             + encode_frame(T_HELLO, client="after"))
+        assert [type(item) for item in items] == [Frame, ProtocolError, Frame]
+        assert items[0].data == {"client": "before"}
+        assert "recursion" in str(items[1])
+        assert items[2].data == {"client": "after"}
+        assert decoder.pending_bytes() == 0
+        assert (decoder.frames_decoded, decoder.frames_rejected) == (2, 1)
+
+    def test_unhashable_frame_type_rejected(self):
+        body = json.dumps({"v": PROTOCOL_VERSION, "type": ["HELLO"]}).encode()
+        (item,) = decode_all(self._frame_with_body(body))
+        assert isinstance(item, ProtocolError)
+        assert str(item) == "unknown frame type: ['HELLO']"
+
     def test_unicode_payload_roundtrip(self):
         raw = encode_frame(T_HELLO, client="prüfstand-β")
         (frame,) = decode_all(raw)
         assert frame.data["client"] == "prüfstand-β"
+
+
+class TestDecoderEquivalence:
+    """:meth:`FrameDecoder.feed` scans each payload directly and falls
+    back to ``_decode_body`` for anything it does not accept.  On any
+    payload it must give the same :class:`Frame`, or a
+    :class:`ProtocolError` with the same text, as ``_decode_body`` — also
+    when the bytes arrive split at any chunk boundary."""
+
+    @staticmethod
+    def _corpus():
+        import random
+
+        rng = random.Random(15)
+        hello = '{"v":1,"type":"HELLO","client":"glue"}'
+        beat = ('{"v":1,"type":"HEARTBEAT","name":"p",'
+                '"batch":[["sense",null,"T"],["act",5,null]]}')
+        texts = [
+            hello, beat, " " + hello, hello + " ", "\n\t" + hello + "\r\n",
+            '{"v":1,"type":"HELLO","client":"prüfstand-β \\u00e9"}',
+            '{"v":1,"type":"HELLO","client":"日本"}',
+            "[1, 2]", '"HELLO"', "42", "null", "true", "", " ", "{",
+            '{"type":"HELLO"}', '{"v":2,"type":"HELLO"}',
+            '{"v":"1","type":"HELLO"}', '{"v":1.0,"type":"HELLO"}',
+            '{"v":true,"type":"HELLO"}', '{"v":null,"type":"HELLO"}',
+            '{"v":1}', '{"v":1,"type":"NOPE"}', '{"v":1,"type":null}',
+            '{"v":1,"type":["HELLO"]}', '{"v":1,"type":{"a":1}}',
+            '{"v":1,"type":7}', '{"v":1,"type":"hello"}',
+            '{"v":1,"type":"HELLO","v":2}', '{"v":2,"type":"HELLO","v":1}',
+            '{"v":1,"type":"NOPE","type":"HELLO"}',
+            '{"v":1,"type":"HELLO","x":NaN}',
+            '{"v":1,"type":"HELLO","x":Infinity,"y":-Infinity}',
+            '{"v":NaN,"type":"HELLO"}',
+            hello + "garbage", hello + hello, hello + "]", hello + " x",
+            '{"v":1,"type":"HELLO",}', "{'v':1}",
+            '{"v":1,"type":"HELLO","x":' + "[" * 50 + "]" * 50 + "}",
+            '{"v":1,"type":"HELLO","x":' + "[" * 100_000 + "]" * 100_000
+            + "}",
+            '{"v":1,"type":"HELLO","x":' + '{"a":' * 100_000 + "1"
+            + "}" * 100_000 + "}",
+            "[" * 100_000,
+        ]
+        payloads = [text.encode("utf-8") for text in texts]
+        payloads += [
+            b'{"v":1,"type":"HELLO","client":"\xff"}',
+            b'{"v":1,"type":"HELLO","client":"\xc3"}',
+            b"\xef\xbb\xbf" + hello.encode(),
+            hello.encode("utf-16"),
+        ]
+        # Seeded mutations of well-formed frames: dropped, duplicated or
+        # replaced bytes.
+        seeds = [hello.encode(), beat.encode()]
+        for _ in range(200):
+            raw = bytearray(rng.choice(seeds))
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(raw))
+                op = rng.random()
+                if op < 0.4:
+                    del raw[at]
+                elif op < 0.7:
+                    raw.insert(at, raw[at])
+                else:
+                    raw[at] = rng.choice(b' ,:[]{}"\\0x1\xe9\xff')
+            payloads.append(bytes(raw))
+        return payloads
+
+    @staticmethod
+    def _expected(payload):
+        from repro.service.protocol import _decode_body
+
+        try:
+            return _decode_body(payload)
+        except ProtocolError as exc:
+            return ("error", str(exc))
+
+    @staticmethod
+    def _observed(item):
+        if isinstance(item, ProtocolError):
+            return ("error", str(item))
+        return item
+
+    def test_feed_matches_decode_body(self):
+        corpus = self._corpus()
+        stream = b"".join(struct.pack("!I", len(p)) + p for p in corpus)
+        expected = [self._expected(p) for p in corpus]
+        items = FrameDecoder().feed(stream)
+        assert [self._observed(i) for i in items] == expected
+        # The corpus reaches the fast path's every exit.
+        kinds = {type(e).__name__ if not isinstance(e, tuple) else e[1][:12]
+                 for e in expected}
+        assert len(kinds) >= 5
+        assert any(isinstance(e, Frame) for e in expected)
+
+    def test_feed_matches_decode_body_at_every_split(self):
+        corpus = [p for p in self._corpus() if len(p) < 1000]
+        for payload in corpus:
+            raw = struct.pack("!I", len(payload)) + payload
+            expected = [self._expected(payload)]
+            for split in range(len(raw) + 1):
+                decoder = FrameDecoder()
+                items = decoder.feed(raw[:split]) + decoder.feed(raw[split:])
+                assert [self._observed(i) for i in items] == expected, (
+                    payload, split)
+                assert decoder.pending_bytes() == 0

@@ -152,6 +152,32 @@ class TestWireServer:
             await server.stop()
         asyncio.run(scenario())
 
+    def test_deeply_nested_payload_gets_error_ack_connection_survives(self):
+        """A frame nested past the recursion limit is one malformed frame:
+        the HEARTBEAT before it in the same write is applied, the bad one
+        is ACKed ok=false, and the connection keeps working."""
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            depth = 100_000
+            body = (b'{"v":1,"type":"HELLO","x":' + b"[" * depth
+                    + b"]" * depth + b"}")
+            await peer.send_raw(
+                encode_frame(T_HEARTBEAT, name="p", batch=[["sense", 5, "T"]])
+                + struct.pack("!I", len(body)) + body)
+            ack = await peer.recv_frame()
+            assert ack.type == T_ACK and not ack.get("ok")
+            assert "recursion" in ack.get("error")
+            await barrier(peer)
+            assert server.fleet.registration("p").indications == 1
+            assert server.telemetry.counter(
+                "service_malformed_frames_total").value == 1
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
     def test_corrupt_length_header_closes_connection(self):
         async def scenario():
             server = await start_server()
